@@ -18,10 +18,8 @@
  *   --engine K     stepping engine: "event" (default; skips
  *                  provably inert cycles) or "reference" (per-cycle
  *                  loop). Results are bit-identical either way.
- *   --trace=FILE[,format]
- *                  stream per-epoch QoS telemetry to FILE; format
- *                  "jsonl" (default) or "csv" (a .csv extension
- *                  also selects CSV)
+ *   --trace=FILE   stream per-epoch QoS telemetry to FILE as JSONL
+ *                  (one JSON object per line)
  *   --timeline=FILE
  *                  export a Chrome-trace/Perfetto timeline of the
  *                  run (SM occupancy slices, per-kernel counters,
@@ -143,10 +141,9 @@ initBenchTelemetry(const CliArgs &args)
     if (t.initialized)
         return;
     t.initialized = true;
-    const std::string spec = args.getString("trace", "");
-    if (!spec.empty()) {
-        t.trace = okOrDie(openTraceSink(spec));
-        t.tracePath = traceSpecPath(spec);
+    t.tracePath = args.getString("trace", "");
+    if (!t.tracePath.empty()) {
+        t.trace = okOrDie(openTraceSink(t.tracePath));
         if (logLevel() != LogLevel::Quiet) {
             std::fprintf(stderr,
                          "info: tracing epoch telemetry to %s\n",

@@ -66,9 +66,9 @@ main(int argc, char **argv)
     // The structured counterpart of the table below: stream every
     // epoch record to a trace file while the ASCII trace prints.
     std::unique_ptr<TraceSink> sink;
-    std::string trace_spec = args.getString("trace", "");
-    if (!trace_spec.empty()) {
-        sink = okOrDie(openTraceSink(trace_spec));
+    std::string trace_path = args.getString("trace", "");
+    if (!trace_path.empty()) {
+        sink = okOrDie(openTraceSink(trace_path));
         pol->attachTelemetry(sink.get(), nullptr);
     }
     pol->onLaunch(gpu);

@@ -36,11 +36,10 @@ main(int argc, char **argv)
                                         opts.cycles / 5);
     opts.useCache = false;
     std::unique_ptr<TraceSink> trace;
-    std::string trace_spec = args.getString("trace", "");
-    if (!trace_spec.empty()) {
-        trace = okOrDie(openTraceSink(trace_spec));
+    opts.tracePath = args.getString("trace", "");
+    if (!opts.tracePath.empty()) {
+        trace = okOrDie(openTraceSink(opts.tracePath));
         opts.traceSink = trace.get();
-        opts.tracePath = traceSpecPath(trace_spec);
     }
     Runner runner = okOrDie(Runner::make(opts));
 

@@ -15,7 +15,10 @@
 # must leave stdout byte-identical, export one valid JSON document
 # that is byte-identical across --jobs 1 vs 4, and the cycle-
 # attribution breakdowns in --stats-json must conserve every SM
-# cycle. The default preset additionally runs the engine
+# cycle. The trace smoke runs a traced bench_fig6 sweep at --jobs 4
+# and --jobs 1: stdout and cache lines must match the untraced run,
+# the JSONL must hold the same lines and the timeline the same
+# bytes at both job counts. The default preset additionally runs the engine
 # differential smoke: every simulating figure bench must print
 # byte-identical stdout (and byte-identical --trace JSONL) under
 # --engine event and --engine reference.
@@ -100,6 +103,20 @@ trace_smoke() {
     # Identical cache contents too (sealed result lines only; the
     # .meta artifact sidecar is telemetry metadata by design).
     cmp <(sort "$scratch/t0/"*.csv) <(sort "$scratch/t1/"*.csv)
+
+    # The traced sweep must not depend on the job count either. Sweep
+    # workers interleave JSONL records across cases, so the trace is
+    # compared as a sorted set of lines; the timeline groups events
+    # per case and must be byte-identical.
+    # shellcheck disable=SC2086
+    "$bin" $flags --jobs 1 --cache "$scratch/t2" \
+        --trace "$scratch/epochs.j1.jsonl" \
+        --timeline "$scratch/timeline.j1.json" \
+        > "$scratch/traced.j1.out" 2>/dev/null
+    cmp "$scratch/plain.out" "$scratch/traced.j1.out"
+    cmp <(sort "$scratch/epochs.jsonl") \
+        <(sort "$scratch/epochs.j1.jsonl")
+    cmp "$scratch/timeline.json" "$scratch/timeline.j1.json"
 
     [ -s "$scratch/epochs.jsonl" ] || {
         echo "trace smoke: empty trace file" >&2; return 1; }

@@ -6,29 +6,16 @@
 #include "harness/run_report.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 
+#include "common/json.hh"
 #include "common/metrics.hh"
-#include "telemetry/trace.hh"
 
 namespace gqos
 {
 
 namespace
 {
-
-std::string
-jsonNumber(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    for (const char *p = buf; *p; ++p) {
-        if (*p == 'n' || *p == 'i')
-            return "null";
-    }
-    return buf;
-}
 
 void
 writeKernel(std::ostream &os, const ReportKernel &k)

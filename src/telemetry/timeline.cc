@@ -16,24 +16,13 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/json.hh"
+
 namespace gqos
 {
 
 namespace
 {
-
-/** JSON-safe number: null for non-finite (same as metrics.cc). */
-std::string
-jsonNumber(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    for (const char *p = buf; *p; ++p) {
-        if (*p == 'n' || *p == 'i')
-            return "null";
-    }
-    return buf;
-}
 
 /** tid of the per-SM occupancy track. */
 int

@@ -1,6 +1,6 @@
 /**
  * @file
- * Trace-sink backends: JSONL and CSV.
+ * JSONL trace backend and the `--trace` sink factory.
  */
 
 #include "telemetry/trace.hh"
@@ -9,60 +9,13 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/json.hh"
+
 namespace gqos
 {
 
 namespace
 {
-
-/** JSON-safe number (see metrics.cc): null for non-finite. */
-std::string
-jsonNumber(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    for (const char *p = buf; *p; ++p) {
-        if (*p == 'n' || *p == 'i')
-            return "null";
-    }
-    return buf;
-}
-
-/** Shorter form for CSV cells (still round-trip exact). */
-std::string
-csvNumber(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-csvField(const std::string &s)
-{
-    if (s.find_first_of(",\"\n") == std::string::npos)
-        return s;
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-std::string
-leftoverList(const std::vector<double> &v, char sep)
-{
-    std::string out;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i)
-            out += sep;
-        out += csvNumber(v[i]);
-    }
-    return out;
-}
 
 std::string
 jsonlEpochKernel(const EpochKernelRecord &r)
@@ -168,103 +121,10 @@ jsonlSmSlice(const SmSliceRecord &r)
     return os.str();
 }
 
-// Column order of the CSV backend; keep in sync with the csv*()
-// formatters below. Serving events reuse `reason` for their detail
-// string; sm_slice rows reuse `start`/`length`/`kernel`/`sm` and
-// carry their exclusive end cycle in the trailing `end` column.
-const char *kCsvHeader =
-    "type,schema_version,case,epoch,start,length,final_partial,"
-    "kernel,is_qos,"
-    "goal_ipc,non_qos_goal,alpha,ipc_epoch,ipc_history,attainment,"
-    "quota_granted,instr_delta,completed_tbs,preempted_tbs,"
-    "quota_refills,tb_target,tb_resident,iw_average,gated_fraction,"
-    "leftover_per_sm,l1_accesses,l1_misses,l2_accesses,l2_misses,"
-    "dram_accesses,context_lines,cycle,sm,delta,reason,"
-    "event,tenant,request,latency,level,queue_depth,end";
+} // anonymous namespace
 
-std::string
-csvEpochKernel(const EpochKernelRecord &r)
-{
-    std::ostringstream os;
-    os << "epoch_kernel," << traceSchemaVersion << ','
-       << csvField(r.caseKey) << ','
-       << r.epoch << ',' << r.start << ',' << r.length << ','
-       << (r.finalPartial ? 1 : 0) << ',' << r.kernel << ','
-       << (r.isQos ? 1 : 0) << ',' << csvNumber(r.goalIpc) << ','
-       << csvNumber(r.nonQosGoal) << ',' << csvNumber(r.alpha) << ','
-       << csvNumber(r.ipcEpoch) << ',' << csvNumber(r.ipcHistory)
-       << ',' << csvNumber(r.attainment) << ','
-       << csvNumber(r.quotaGranted) << ',' << r.instrDelta << ','
-       << r.completedTbs << ',' << r.preemptedTbs << ','
-       << r.quotaRefills << ',' << r.tbTarget << ',' << r.tbResident
-       << ',' << csvNumber(r.iwAverage) << ','
-       << csvNumber(r.gatedFraction) << ','
-       << leftoverList(r.leftoverPerSm, '|')
-       << ",,,,,,,,,,,,,,,,,"; // mem + event + serving + end empty
-    return os.str();
-}
-
-std::string
-csvEpochMem(const EpochMemRecord &r)
-{
-    std::ostringstream os;
-    os << "epoch_mem," << traceSchemaVersion << ','
-       << csvField(r.caseKey) << ',' << r.epoch
-       << ',' << r.start << ',' << r.length << ','
-       << (r.finalPartial ? 1 : 0)
-       << ",,,,,,,,,,,,,,,,,,," // kernel..leftover_per_sm empty
-       << r.l1Accesses << ',' << r.l1Misses << ',' << r.l2Accesses
-       << ',' << r.l2Misses << ',' << r.dramAccesses << ','
-       << r.contextLines << ",,,,,,,,,,,"; // event..end empty
-    return os.str();
-}
-
-std::string
-csvAllocEvent(const AllocEventRecord &r)
-{
-    std::ostringstream os;
-    os << "alloc_event," << traceSchemaVersion << ','
-       << csvField(r.caseKey) << ',' << r.epoch
-       << ",,,," << r.kernel << ','
-       << ",,,,,,,,,,,,,,"
-       << csvNumber(r.iwAverage)
-       << ",,,,,,,,," // gated..context_lines empty
-       << r.cycle << ',' << r.sm << ',' << r.delta << ','
-       << csvField(r.reason) << ",,,,,,,"; // serving + end empty
-    return os.str();
-}
-
-std::string
-csvServingEvent(const ServingEventRecord &r)
-{
-    std::ostringstream os;
-    os << "serving_event," << traceSchemaVersion << ','
-       << csvField(r.caseKey)
-       << ",,,,,,,,,,,,,,,,,,,,,,,,,,,,," // epoch..context_lines
-       << r.cycle << ",,," << csvField(r.detail) << ','
-       << csvField(r.event) << ',' << csvField(r.tenant) << ','
-       << r.request << ',' << r.latency << ',' << r.level << ','
-       << r.queueDepth << ','; // trailing `end` empty
-    return os.str();
-}
-
-std::string
-csvSmSlice(const SmSliceRecord &r)
-{
-    std::ostringstream os;
-    os << "sm_slice," << traceSchemaVersion << ','
-       << csvField(r.caseKey)
-       << ",," << r.start << ',' << (r.end - r.start)
-       << ",," << r.kernel
-       << ",,,,,,,,,,,,,,,,,,,,,,,,," // is_qos..cycle empty
-       << r.sm
-       << ",,,,,,,,," // delta..queue_depth empty
-       << r.end;
-    return os.str();
-}
-
-Result<std::FILE *>
-openFile(const std::string &path)
+Result<std::unique_ptr<JsonlTraceSink>>
+JsonlTraceSink::open(const std::string &path)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f) {
@@ -272,210 +132,7 @@ openFile(const std::string &path)
                      "cannot open trace file '" + path +
                          "': " + std::strerror(errno));
     }
-    return f;
-}
-
-} // anonymous namespace
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
-
-void
-CaseLabelingSink::onEpochKernel(const EpochKernelRecord &rec)
-{
-    EpochKernelRecord labeled = rec;
-    labeled.caseKey = caseKey_;
-    inner_->onEpochKernel(labeled);
-}
-
-void
-CaseLabelingSink::onEpochMem(const EpochMemRecord &rec)
-{
-    EpochMemRecord labeled = rec;
-    labeled.caseKey = caseKey_;
-    inner_->onEpochMem(labeled);
-}
-
-void
-CaseLabelingSink::onAllocEvent(const AllocEventRecord &rec)
-{
-    AllocEventRecord labeled = rec;
-    labeled.caseKey = caseKey_;
-    inner_->onAllocEvent(labeled);
-}
-
-void
-CaseLabelingSink::onServingEvent(const ServingEventRecord &rec)
-{
-    ServingEventRecord labeled = rec;
-    labeled.caseKey = caseKey_;
-    inner_->onServingEvent(labeled);
-}
-
-void
-CaseLabelingSink::onSmSlice(const SmSliceRecord &rec)
-{
-    SmSliceRecord labeled = rec;
-    labeled.caseKey = caseKey_;
-    inner_->onSmSlice(labeled);
-}
-
-void
-TeeTraceSink::onEpochKernel(const EpochKernelRecord &rec)
-{
-    a_->onEpochKernel(rec);
-    b_->onEpochKernel(rec);
-}
-
-void
-TeeTraceSink::onEpochMem(const EpochMemRecord &rec)
-{
-    a_->onEpochMem(rec);
-    b_->onEpochMem(rec);
-}
-
-void
-TeeTraceSink::onAllocEvent(const AllocEventRecord &rec)
-{
-    a_->onAllocEvent(rec);
-    b_->onAllocEvent(rec);
-}
-
-void
-TeeTraceSink::onServingEvent(const ServingEventRecord &rec)
-{
-    a_->onServingEvent(rec);
-    b_->onServingEvent(rec);
-}
-
-void
-TeeTraceSink::onSmSlice(const SmSliceRecord &rec)
-{
-    a_->onSmSlice(rec);
-    b_->onSmSlice(rec);
-}
-
-void
-TeeTraceSink::flush()
-{
-    a_->flush();
-    b_->flush();
-}
-
-void
-BufferingTraceSink::onEpochKernel(const EpochKernelRecord &rec)
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    Entry e;
-    e.kind = Entry::Kind::EpochKernel;
-    e.epochKernel = rec;
-    records_.push_back(std::move(e));
-}
-
-void
-BufferingTraceSink::onEpochMem(const EpochMemRecord &rec)
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    Entry e;
-    e.kind = Entry::Kind::EpochMem;
-    e.epochMem = rec;
-    records_.push_back(std::move(e));
-}
-
-void
-BufferingTraceSink::onAllocEvent(const AllocEventRecord &rec)
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    Entry e;
-    e.kind = Entry::Kind::AllocEvent;
-    e.allocEvent = rec;
-    records_.push_back(std::move(e));
-}
-
-void
-BufferingTraceSink::onServingEvent(const ServingEventRecord &rec)
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    Entry e;
-    e.kind = Entry::Kind::Serving;
-    e.serving = rec;
-    records_.push_back(std::move(e));
-}
-
-void
-BufferingTraceSink::onSmSlice(const SmSliceRecord &rec)
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    Entry e;
-    e.kind = Entry::Kind::SmSlice;
-    e.smSlice = rec;
-    records_.push_back(std::move(e));
-}
-
-void
-BufferingTraceSink::replayTo(TraceSink &sink) const
-{
-    for (const Entry &e : records_) {
-        switch (e.kind) {
-          case Entry::Kind::EpochKernel:
-            sink.onEpochKernel(e.epochKernel);
-            break;
-          case Entry::Kind::EpochMem:
-            sink.onEpochMem(e.epochMem);
-            break;
-          case Entry::Kind::AllocEvent:
-            sink.onAllocEvent(e.allocEvent);
-            break;
-          case Entry::Kind::Serving:
-            sink.onServingEvent(e.serving);
-            break;
-          case Entry::Kind::SmSlice:
-            sink.onSmSlice(e.smSlice);
-            break;
-        }
-    }
-}
-
-Result<std::unique_ptr<JsonlTraceSink>>
-JsonlTraceSink::open(const std::string &path)
-{
-    auto f = openFile(path);
-    if (!f.ok())
-        return f.error();
-    return std::unique_ptr<JsonlTraceSink>(
-        new JsonlTraceSink(f.value()));
+    return std::unique_ptr<JsonlTraceSink>(new JsonlTraceSink(f));
 }
 
 JsonlTraceSink::~JsonlTraceSink()
@@ -528,131 +185,16 @@ JsonlTraceSink::flush()
     std::fflush(file_);
 }
 
-Result<std::unique_ptr<CsvTraceSink>>
-CsvTraceSink::open(const std::string &path)
-{
-    auto f = openFile(path);
-    if (!f.ok())
-        return f.error();
-    auto sink =
-        std::unique_ptr<CsvTraceSink>(new CsvTraceSink(f.value()));
-    sink->writeLine(kCsvHeader);
-    return sink;
-}
-
-CsvTraceSink::~CsvTraceSink()
-{
-    std::fclose(file_);
-}
-
-void
-CsvTraceSink::writeLine(const std::string &line)
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    std::fwrite(line.data(), 1, line.size(), file_);
-    std::fputc('\n', file_);
-}
-
-void
-CsvTraceSink::onEpochKernel(const EpochKernelRecord &rec)
-{
-    writeLine(csvEpochKernel(rec));
-}
-
-void
-CsvTraceSink::onEpochMem(const EpochMemRecord &rec)
-{
-    writeLine(csvEpochMem(rec));
-}
-
-void
-CsvTraceSink::onAllocEvent(const AllocEventRecord &rec)
-{
-    writeLine(csvAllocEvent(rec));
-}
-
-void
-CsvTraceSink::onServingEvent(const ServingEventRecord &rec)
-{
-    writeLine(csvServingEvent(rec));
-}
-
-void
-CsvTraceSink::onSmSlice(const SmSliceRecord &rec)
-{
-    writeLine(csvSmSlice(rec));
-}
-
-void
-CsvTraceSink::flush()
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    std::fflush(file_);
-}
-
-namespace
-{
-
-/**
- * Does the text after the last comma of a spec look like an intended
- * format token? Anything short without path characters ('.', '/')
- * counts, so "trace.jsonl,yaml" is rejected as an unknown format
- * instead of silently becoming a file named "trace.jsonl,yaml",
- * while commas inside genuine file names stay usable.
- */
-bool
-looksLikeFormatToken(const std::string &tail)
-{
-    return !tail.empty() && tail.size() <= 8 &&
-           tail.find('.') == std::string::npos &&
-           tail.find('/') == std::string::npos;
-}
-
-} // anonymous namespace
-
-std::string
-traceSpecPath(const std::string &spec)
-{
-    auto comma = spec.rfind(',');
-    if (comma == std::string::npos)
-        return spec;
-    if (looksLikeFormatToken(spec.substr(comma + 1)))
-        return spec.substr(0, comma);
-    return spec; // trailing part is not a format; keep whole spec
-}
-
 Result<std::unique_ptr<TraceSink>>
-openTraceSink(const std::string &spec)
+openTraceSink(const std::string &path)
 {
-    std::string path = spec;
-    std::string format;
-    auto comma = spec.rfind(',');
-    if (comma != std::string::npos &&
-        looksLikeFormatToken(spec.substr(comma + 1))) {
-        format = spec.substr(comma + 1);
-        path = spec.substr(0, comma);
-        if (format != "jsonl" && format != "csv") {
-            return Error(ErrorCode::InvalidArgument,
-                         "unknown trace format '" + format +
-                             "' in spec '" + spec +
-                             "' (want jsonl or csv)");
-        }
-    }
-    if (path.empty()) {
+    if (path.ends_with(",csv") || path.ends_with(",jsonl") ||
+        path.ends_with(".csv")) {
         return Error(ErrorCode::InvalidArgument,
-                     "empty trace file path in spec '" + spec + "'");
-    }
-    if (format.empty()) {
-        format = path.size() >= 4 &&
-                         path.compare(path.size() - 4, 4, ".csv") == 0
-                     ? "csv"
-                     : "jsonl";
-    }
-    if (format == "csv") {
-        auto sink = CsvTraceSink::open(path);
-        if (!sink.ok())
-            return sink.error();
-        return std::unique_ptr<TraceSink>(std::move(sink.value()));
+                     "trace file '" + path +
+                         "': the CSV backend and the FILE,format "
+                         "selector were removed; pass a plain FILE "
+                         "(always JSONL)");
     }
     auto sink = JsonlTraceSink::open(path);
     if (!sink.ok())

@@ -5,10 +5,15 @@
  * The simulator computes rich per-epoch state — alpha correction,
  * elastic epoch lengths, rollover carry, the multiplicative non-QoS
  * goal search — and without a trace it is all discarded at the next
- * epoch boundary. A TraceSink receives one structured record per
- * (epoch, kernel), one memory-system record per epoch, and one event
- * per TB reallocation made by the static allocator, so a goal miss
- * or an oscillating non-QoS quota can be replayed offline.
+ * epoch boundary. A TraceSink receives five record kinds, so a goal
+ * miss or an oscillating non-QoS quota can be replayed offline:
+ *
+ *   - epoch_kernel: one per (epoch, kernel)
+ *   - epoch_mem: one memory-system record per epoch
+ *   - alloc_event: one per TB reallocation of the static allocator
+ *   - serving_event: one per serving-driver lifecycle or control
+ *     event
+ *   - sm_slice: one per kernel-occupancy span on one SM
  *
  * Producers (QuotaController, StaticAllocator) hold a plain
  * `TraceSink *` that defaults to nullptr; every emission site is
@@ -16,13 +21,14 @@
  * epoch and nothing else — simulation results are byte-identical
  * with tracing on or off, because sinks only observe.
  *
- * Backends: JSONL (one JSON object per line, self-describing) and
- * CSV (one header row, a `type` column discriminating record kinds).
- * Both are thread-safe: records are appended atomically under a
- * mutex, so sweep workers may share one sink — records from
- * different cases interleave but each carries its case key (stamped
- * by CaseLabelingSink). RecordingTraceSink keeps records in memory
- * for tests and programmatic consumers.
+ * JSONL (one self-describing JSON object per line) is the only
+ * serialized format; TimelineSink (telemetry/timeline.hh) renders
+ * the same stream for Perfetto. Sinks are thread-safe: records are
+ * appended atomically under a mutex, so sweep workers may share one
+ * sink — records from different cases interleave but each carries
+ * its case key (stamped by CaseLabelingSink). BufferingTraceSink
+ * keeps records in memory as TraceRecord variants, for ordered
+ * replay, tests and programmatic consumers.
  */
 
 #ifndef GQOS_TELEMETRY_TRACE_HH
@@ -33,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "arch/types.hh"
@@ -43,9 +50,9 @@ namespace gqos
 
 /**
  * Schema version stamped into every serialized trace record (JSONL
- * field / CSV column "schema_version") so downstream tooling can
- * diff and version-gate outputs. Bump whenever a record gains,
- * loses or reinterprets a field.
+ * field "schema_version") so downstream tooling can diff and
+ * version-gate outputs. Bump whenever a record gains, loses or
+ * reinterprets a field.
  *
  *   1: initial JSONL/CSV layout
  *   2: schema_version stamped; serving_event gains queue_depth;
@@ -83,6 +90,8 @@ struct EpochKernelRecord
     double iwAverage = 0.0;   //!< mean idle-warp sample per SM
     double gatedFraction = 0.0; //!< mean EWS-gated cycle fraction
     std::vector<double> leftoverPerSm; //!< quota counters at end
+
+    bool operator==(const EpochKernelRecord &) const = default;
 };
 
 /** Per-epoch memory-system activity (deltas over the epoch). */
@@ -99,6 +108,8 @@ struct EpochMemRecord
     std::uint64_t l2Misses = 0;
     std::uint64_t dramAccesses = 0;
     std::uint64_t contextLines = 0; //!< preemption context traffic
+
+    bool operator==(const EpochMemRecord &) const = default;
 };
 
 /** One TB-reallocation decision of the static allocator. */
@@ -112,6 +123,8 @@ struct AllocEventRecord
     int delta = 0;       //!< target change: +1 grow, -1 evict
     std::string reason;  //!< "grow", "evict", "restore", ...
     double iwAverage = 0.0; //!< kernel's idle-warp average on @p sm
+
+    bool operator==(const AllocEventRecord &) const = default;
 };
 
 /**
@@ -133,6 +146,8 @@ struct ServingEventRecord
     /** Tenant queue depth right after the event (server-wide events
      *  carry the total backlog); drives timeline counter tracks. */
     int queueDepth = 0;
+
+    bool operator==(const ServingEventRecord &) const = default;
 };
 
 /**
@@ -148,7 +163,14 @@ struct SmSliceRecord
     int kernel = 0;
     Cycle start = 0;
     Cycle end = 0;
+
+    bool operator==(const SmSliceRecord &) const = default;
 };
+
+/** Any one trace record; the in-memory form of a trace stream. */
+using TraceRecord =
+    std::variant<EpochKernelRecord, EpochMemRecord, AllocEventRecord,
+                 ServingEventRecord, SmSliceRecord>;
 
 /**
  * Telemetry consumer interface. Implementations must tolerate
@@ -178,6 +200,18 @@ class TraceSink
 
     /** Make everything emitted so far durable (default no-op). */
     virtual void flush() {}
+
+    /** Deliver @p rec to the on* method of its record kind. */
+    void emit(const EpochKernelRecord &rec) { onEpochKernel(rec); }
+    void emit(const EpochMemRecord &rec) { onEpochMem(rec); }
+    void emit(const AllocEventRecord &rec) { onAllocEvent(rec); }
+    void emit(const ServingEventRecord &rec) { onServingEvent(rec); }
+    void emit(const SmSliceRecord &rec) { onSmSlice(rec); }
+    void
+    emit(const TraceRecord &rec)
+    {
+        std::visit([this](const auto &r) { emit(r); }, rec);
+    }
 };
 
 /**
@@ -193,14 +227,22 @@ class CaseLabelingSink : public TraceSink
         : inner_(inner), caseKey_(std::move(case_key))
     {}
 
-    void onEpochKernel(const EpochKernelRecord &rec) override;
-    void onEpochMem(const EpochMemRecord &rec) override;
-    void onAllocEvent(const AllocEventRecord &rec) override;
-    void onServingEvent(const ServingEventRecord &rec) override;
-    void onSmSlice(const SmSliceRecord &rec) override;
+    void onEpochKernel(const EpochKernelRecord &r) override { label(r); }
+    void onEpochMem(const EpochMemRecord &r) override { label(r); }
+    void onAllocEvent(const AllocEventRecord &r) override { label(r); }
+    void onServingEvent(const ServingEventRecord &r) override { label(r); }
+    void onSmSlice(const SmSliceRecord &r) override { label(r); }
     void flush() override { inner_->flush(); }
 
   private:
+    template <typename R>
+    void
+    label(R rec)
+    {
+        rec.caseKey = caseKey_;
+        inner_->emit(rec);
+    }
+
     TraceSink *inner_;
     std::string caseKey_;
 };
@@ -215,116 +257,93 @@ class TeeTraceSink : public TraceSink
   public:
     TeeTraceSink(TraceSink *a, TraceSink *b) : a_(a), b_(b) {}
 
-    void onEpochKernel(const EpochKernelRecord &rec) override;
-    void onEpochMem(const EpochMemRecord &rec) override;
-    void onAllocEvent(const AllocEventRecord &rec) override;
-    void onServingEvent(const ServingEventRecord &rec) override;
-    void onSmSlice(const SmSliceRecord &rec) override;
-    void flush() override;
+    void onEpochKernel(const EpochKernelRecord &r) override { both(r); }
+    void onEpochMem(const EpochMemRecord &r) override { both(r); }
+    void onAllocEvent(const AllocEventRecord &r) override { both(r); }
+    void onServingEvent(const ServingEventRecord &r) override { both(r); }
+    void onSmSlice(const SmSliceRecord &r) override { both(r); }
+
+    void
+    flush() override
+    {
+        a_->flush();
+        b_->flush();
+    }
 
   private:
+    template <typename R>
+    void
+    both(const R &rec)
+    {
+        a_->emit(rec);
+        b_->emit(rec);
+    }
+
     TraceSink *a_;
     TraceSink *b_;
 };
 
-/** In-memory sink for tests and programmatic consumers. */
-class RecordingTraceSink : public TraceSink
-{
-  public:
-    void
-    onEpochKernel(const EpochKernelRecord &rec) override
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        epochKernel.push_back(rec);
-    }
-
-    void
-    onEpochMem(const EpochMemRecord &rec) override
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        epochMem.push_back(rec);
-    }
-
-    void
-    onAllocEvent(const AllocEventRecord &rec) override
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        allocEvents.push_back(rec);
-    }
-
-    void
-    onServingEvent(const ServingEventRecord &rec) override
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        servingEvents.push_back(rec);
-    }
-
-    void
-    onSmSlice(const SmSliceRecord &rec) override
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        smSlices.push_back(rec);
-    }
-
-    std::vector<EpochKernelRecord> epochKernel;
-    std::vector<EpochMemRecord> epochMem;
-    std::vector<AllocEventRecord> allocEvents;
-    std::vector<ServingEventRecord> servingEvents;
-    std::vector<SmSliceRecord> smSlices;
-
-  private:
-    std::mutex mutex_;
-};
-
 /**
- * Order-preserving buffer of every record kind. The serving harness
- * gives each concurrently-simulated load point its own buffer, then
- * replays the buffers into the real output sink in submission order
- * — so the trace file is byte-identical at any `--jobs` level even
- * though the simulations ran in parallel.
+ * Order-preserving in-memory buffer of every record kind. The
+ * serving harness gives each concurrently-simulated load point its
+ * own buffer, then replays the buffers into the real output sink in
+ * submission order — so the trace file is byte-identical at any
+ * `--jobs` level even though the simulations ran in parallel. Tests
+ * and programmatic consumers read the records back directly; the
+ * accessors are meant for after the run, once emission has stopped.
  */
 class BufferingTraceSink : public TraceSink
 {
   public:
-    void onEpochKernel(const EpochKernelRecord &rec) override;
-    void onEpochMem(const EpochMemRecord &rec) override;
-    void onAllocEvent(const AllocEventRecord &rec) override;
-    void onServingEvent(const ServingEventRecord &rec) override;
-    void onSmSlice(const SmSliceRecord &rec) override;
+    void onEpochKernel(const EpochKernelRecord &r) override { push(r); }
+    void onEpochMem(const EpochMemRecord &r) override { push(r); }
+    void onAllocEvent(const AllocEventRecord &r) override { push(r); }
+    void onServingEvent(const ServingEventRecord &r) override { push(r); }
+    void onSmSlice(const SmSliceRecord &r) override { push(r); }
 
     /** Forward every buffered record to @p sink, in emission order. */
-    void replayTo(TraceSink &sink) const;
+    void
+    replayTo(TraceSink &sink) const
+    {
+        for (const TraceRecord &rec : records_)
+            sink.emit(rec);
+    }
+
+    /** Every record, in emission order. */
+    const std::vector<TraceRecord> &records() const { return records_; }
+
+    /** The records of kind @p R, in emission order. */
+    template <typename R>
+    std::vector<R>
+    all() const
+    {
+        std::vector<R> out;
+        for (const TraceRecord &rec : records_) {
+            if (const R *r = std::get_if<R>(&rec))
+                out.push_back(*r);
+        }
+        return out;
+    }
 
     std::size_t size() const { return records_.size(); }
 
   private:
-    struct Entry
+    template <typename R>
+    void
+    push(const R &rec)
     {
-        // A tiny hand-rolled variant keeps the header dependency
-        // surface flat; exactly one member is populated per entry.
-        enum class Kind
-        {
-            EpochKernel,
-            EpochMem,
-            AllocEvent,
-            Serving,
-            SmSlice
-        };
-        Kind kind;
-        EpochKernelRecord epochKernel;
-        EpochMemRecord epochMem;
-        AllocEventRecord allocEvent;
-        ServingEventRecord serving;
-        SmSliceRecord smSlice;
-    };
+        std::lock_guard<std::mutex> guard(mutex_);
+        records_.emplace_back(rec);
+    }
 
     std::mutex mutex_;
-    std::vector<Entry> records_;
+    std::vector<TraceRecord> records_;
 };
 
 /**
  * JSONL backend: one self-describing JSON object per line, with a
- * "type" field of "epoch_kernel", "epoch_mem" or "alloc_event".
+ * "type" field naming the record kind ("epoch_kernel", "epoch_mem",
+ * "alloc_event", "serving_event" or "sm_slice").
  */
 class JsonlTraceSink : public TraceSink
 {
@@ -352,48 +371,13 @@ class JsonlTraceSink : public TraceSink
 };
 
 /**
- * CSV backend: one header row, a `type` column discriminating the
- * record kinds; fields that do not apply to a record type are left
- * empty. `leftover_per_sm` packs the per-SM quota counters into one
- * cell, "|"-separated.
- */
-class CsvTraceSink : public TraceSink
-{
-  public:
-    static Result<std::unique_ptr<CsvTraceSink>> open(
-        const std::string &path);
-
-    ~CsvTraceSink() override;
-
-    void onEpochKernel(const EpochKernelRecord &rec) override;
-    void onEpochMem(const EpochMemRecord &rec) override;
-    void onAllocEvent(const AllocEventRecord &rec) override;
-    void onServingEvent(const ServingEventRecord &rec) override;
-    void onSmSlice(const SmSliceRecord &rec) override;
-    void flush() override;
-
-  private:
-    explicit CsvTraceSink(std::FILE *f) : file_(f) {}
-
-    void writeLine(const std::string &line);
-
-    std::mutex mutex_;
-    std::FILE *file_;
-};
-
-/**
- * Open a trace sink from a CLI spec "FILE[,format]" with format
- * "jsonl" or "csv". Without an explicit format, a ".csv" file
- * extension selects CSV, anything else JSONL.
+ * Open the `--trace` sink: JSONL written to @p path. The removed
+ * CSV spellings ("FILE,csv", "FILE,jsonl", "*.csv") are rejected
+ * with InvalidArgument, so an old command line fails loudly instead
+ * of writing JSONL into a file named as CSV.
  */
 Result<std::unique_ptr<TraceSink>> openTraceSink(
-    const std::string &spec);
-
-/** The file part of a "FILE[,format]" trace spec. */
-std::string traceSpecPath(const std::string &spec);
-
-/** Escape @p s for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
+    const std::string &path);
 
 } // namespace gqos
 

@@ -1,18 +1,17 @@
 /**
  * @file
  * Unit tests for the common utility layer: RNG, bit operations,
- * statistics and CSV handling.
+ * statistics and the JSON text helpers.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <set>
 
 #include "common/bitops.hh"
 #include "common/cli.hh"
-#include "common/csv.hh"
+#include "common/json.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 
@@ -227,26 +226,21 @@ TEST(Cli, SplitList)
     EXPECT_EQ(v[2], "c");
 }
 
-TEST(Csv, RoundTrip)
+TEST(Json, NumbersRoundTripAndNonFiniteIsNull)
 {
-    CsvTable t({"a", "b"});
-    t.append({{"a", "1"}, {"b", "x"}});
-    t.append({{"a", "2"}, {"b", "y"}, {"c", "z"}});
-    std::string path = "/tmp/gqos_csv_test.csv";
-    t.save(path);
-
-    CsvTable u;
-    ASSERT_TRUE(u.load(path));
-    ASSERT_EQ(u.rows().size(), 2u);
-    EXPECT_EQ(u.rows()[1].at("c"), "z");
-    EXPECT_EQ(u.rows()[0].at("a"), "1");
-    std::remove(path.c_str());
+    EXPECT_EQ(jsonNumber(0.1), "0.10000000000000001");
+    EXPECT_EQ(jsonNumber(3.0), "3");
+    EXPECT_EQ(jsonNumber(INFINITY), "null");
+    EXPECT_EQ(jsonNumber(-INFINITY), "null");
+    EXPECT_EQ(jsonNumber(NAN), "null");
 }
 
-TEST(Csv, LoadMissingFileFails)
+TEST(Json, EscapeQuotesBackslashesAndControlChars)
 {
-    CsvTable t;
-    EXPECT_FALSE(t.load("/tmp/does_not_exist_gqos.csv"));
+    EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+    EXPECT_EQ(jsonEscape("x\ny\tz\r"), "x\\ny\\tz\\r");
+    EXPECT_EQ(jsonEscape(std::string("\x01", 1)), "\\u0001");
+    EXPECT_EQ(jsonEscape("plain|key:0.9"), "plain|key:0.9");
 }
 
 } // anonymous namespace

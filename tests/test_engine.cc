@@ -300,7 +300,7 @@ TEST(SimEngineTest, ResumableAcrossWarmupBoundary)
 struct EngineRun
 {
     CaseResult result;
-    RecordingTraceSink trace;
+    BufferingTraceSink trace;
 };
 
 class EngineDifferential : public ::testing::Test
@@ -355,64 +355,15 @@ class EngineDifferential : public ::testing::Test
         EXPECT_DOUBLE_EQ(a.dramPerKcycle, b.dramPerKcycle);
         EXPECT_DOUBLE_EQ(a.instrPerWatt, b.instrPerWatt);
 
-        // Telemetry must match record by record, field by field
-        // (isolated-baseline runs emit records too, so the streams
-        // cover more than the co-run itself).
-        ASSERT_EQ(ev.trace.epochKernel.size(),
-                  ref.trace.epochKernel.size());
-        for (std::size_t i = 0; i < ev.trace.epochKernel.size();
-             ++i) {
-            const EpochKernelRecord &x = ev.trace.epochKernel[i];
-            const EpochKernelRecord &y = ref.trace.epochKernel[i];
-            SCOPED_TRACE("epoch_kernel record " + std::to_string(i));
-            EXPECT_EQ(x.caseKey, y.caseKey);
-            EXPECT_EQ(x.epoch, y.epoch);
-            EXPECT_EQ(x.start, y.start);
-            EXPECT_EQ(x.length, y.length);
-            EXPECT_EQ(x.kernel, y.kernel);
-            EXPECT_EQ(x.instrDelta, y.instrDelta);
-            EXPECT_EQ(x.completedTbs, y.completedTbs);
-            EXPECT_EQ(x.preemptedTbs, y.preemptedTbs);
-            EXPECT_EQ(x.quotaRefills, y.quotaRefills);
-            EXPECT_EQ(x.tbTarget, y.tbTarget);
-            EXPECT_EQ(x.tbResident, y.tbResident);
-            EXPECT_DOUBLE_EQ(x.alpha, y.alpha);
-            EXPECT_DOUBLE_EQ(x.ipcEpoch, y.ipcEpoch);
-            EXPECT_DOUBLE_EQ(x.quotaGranted, y.quotaGranted);
-            EXPECT_DOUBLE_EQ(x.nonQosGoal, y.nonQosGoal);
-            EXPECT_DOUBLE_EQ(x.iwAverage, y.iwAverage);
-            EXPECT_DOUBLE_EQ(x.gatedFraction, y.gatedFraction);
-            ASSERT_EQ(x.leftoverPerSm.size(),
-                      y.leftoverPerSm.size());
-            for (std::size_t s = 0; s < x.leftoverPerSm.size(); ++s)
-                EXPECT_DOUBLE_EQ(x.leftoverPerSm[s],
-                                 y.leftoverPerSm[s]);
-        }
-        ASSERT_EQ(ev.trace.epochMem.size(),
-                  ref.trace.epochMem.size());
-        for (std::size_t i = 0; i < ev.trace.epochMem.size(); ++i) {
-            const EpochMemRecord &x = ev.trace.epochMem[i];
-            const EpochMemRecord &y = ref.trace.epochMem[i];
-            SCOPED_TRACE("epoch_mem record " + std::to_string(i));
-            EXPECT_EQ(x.epoch, y.epoch);
-            EXPECT_EQ(x.l1Accesses, y.l1Accesses);
-            EXPECT_EQ(x.l2Misses, y.l2Misses);
-            EXPECT_EQ(x.dramAccesses, y.dramAccesses);
-            EXPECT_EQ(x.contextLines, y.contextLines);
-        }
-        ASSERT_EQ(ev.trace.allocEvents.size(),
-                  ref.trace.allocEvents.size());
-        for (std::size_t i = 0; i < ev.trace.allocEvents.size();
-             ++i) {
-            const AllocEventRecord &x = ev.trace.allocEvents[i];
-            const AllocEventRecord &y = ref.trace.allocEvents[i];
-            SCOPED_TRACE("alloc_event record " + std::to_string(i));
-            EXPECT_EQ(x.cycle, y.cycle);
-            EXPECT_EQ(x.sm, y.sm);
-            EXPECT_EQ(x.kernel, y.kernel);
-            EXPECT_EQ(x.delta, y.delta);
-            EXPECT_EQ(x.reason, y.reason);
-        }
+        // Telemetry must match record by record, field by field,
+        // across every record kind and in emission order
+        // (isolated-baseline runs emit records too, so the stream
+        // covers more than the co-run itself).
+        const std::vector<TraceRecord> &x = ev.trace.records();
+        const std::vector<TraceRecord> &y = ref.trace.records();
+        ASSERT_EQ(x.size(), y.size());
+        for (std::size_t i = 0; i < x.size(); ++i)
+            EXPECT_TRUE(x[i] == y[i]) << "trace record " << i;
     }
 
     std::string dir;

@@ -555,7 +555,7 @@ servingArrivals(double ratePerKcycle, Cycle horizon,
 
 ServingReport
 runServing(const std::vector<Arrival> &arrivals,
-           RecordingTraceSink *sink,
+           BufferingTraceSink *sink,
            ServingOptions opts = servingOpts(),
            std::vector<TenantSpec> mix = servingMix(),
            int forceStallTenant = -1)
@@ -585,7 +585,7 @@ expectConservation(const ServingReport &r)
 
 TEST(ServingDriver, HealthyLoadCompletesEverythingInOrder)
 {
-    RecordingTraceSink sink;
+    BufferingTraceSink sink;
     std::vector<Arrival> arrivals = servingArrivals(0.02, 300000);
     ASSERT_FALSE(arrivals.empty());
     ServingReport r = runServing(arrivals, &sink);
@@ -610,7 +610,8 @@ TEST(ServingDriver, HealthyLoadCompletesEverythingInOrder)
     // The structured trace narrates the run: every arrival has a
     // record, and per tenant the completions match the report.
     std::uint64_t arrivalEvents = 0, completeEvents = 0;
-    for (const ServingEventRecord &e : sink.servingEvents) {
+    for (const ServingEventRecord &e :
+         sink.all<ServingEventRecord>()) {
         EXPECT_EQ(e.caseKey, "test");
         if (e.event == "arrival")
             arrivalEvents++;
@@ -629,7 +630,7 @@ TEST(ServingDriver, HealthyLoadCompletesEverythingInOrder)
 TEST(ServingDriver, SameSeedRunsAreIdentical)
 {
     std::vector<Arrival> arrivals = servingArrivals(0.05, 200000);
-    RecordingTraceSink s1, s2;
+    BufferingTraceSink s1, s2;
     ServingReport a = runServing(arrivals, &s1);
     ServingReport b = runServing(arrivals, &s2);
     EXPECT_EQ(a.endCycle, b.endCycle);
@@ -642,17 +643,7 @@ TEST(ServingDriver, SameSeedRunsAreIdentical)
         EXPECT_DOUBLE_EQ(a.tenants[i].goodput,
                          b.tenants[i].goodput);
     }
-    ASSERT_EQ(s1.servingEvents.size(), s2.servingEvents.size());
-    for (std::size_t i = 0; i < s1.servingEvents.size(); ++i) {
-        EXPECT_EQ(s1.servingEvents[i].cycle,
-                  s2.servingEvents[i].cycle);
-        EXPECT_EQ(s1.servingEvents[i].event,
-                  s2.servingEvents[i].event);
-        EXPECT_EQ(s1.servingEvents[i].tenant,
-                  s2.servingEvents[i].tenant);
-        EXPECT_EQ(s1.servingEvents[i].request,
-                  s2.servingEvents[i].request);
-    }
+    EXPECT_TRUE(s1.records() == s2.records());
 }
 
 TEST(ServingDriver, OverloadDegradesElasticBeforeGuaranteed)
@@ -664,7 +655,7 @@ TEST(ServingDriver, OverloadDegradesElasticBeforeGuaranteed)
     std::vector<TenantSpec> mix = servingMix();
     for (TenantSpec &t : mix)
         t.queueCap = 4;
-    RecordingTraceSink sink;
+    BufferingTraceSink sink;
     std::vector<Arrival> arrivals = servingArrivals(0.3, 250000);
     ServingOptions opts = servingOpts();
     opts.drainGrace = 100000;
@@ -686,14 +677,14 @@ TEST(ServingDriver, OverloadDegradesElasticBeforeGuaranteed)
         EXPECT_LE(t.maxQueueDepth, 4u) << t.name;
     // Degradation shows up in the trace as structured records.
     bool sawDegrade = false;
-    for (const ServingEventRecord &ev : sink.servingEvents)
+    for (const ServingEventRecord &ev : sink.all<ServingEventRecord>())
         sawDegrade |= ev.event == "degrade";
     EXPECT_TRUE(sawDegrade);
 }
 
 TEST(ServingDriver, WatchdogTripsOnFrozenTenantAndShutsDownClean)
 {
-    RecordingTraceSink sink;
+    BufferingTraceSink sink;
     // Enough load that the frozen tenant has live work; a short
     // watchdog window so the test stays fast. 0.1 simulated ms at
     // 1.216 GHz is ~121600 cycles.
@@ -707,7 +698,7 @@ TEST(ServingDriver, WatchdogTripsOnFrozenTenantAndShutsDownClean)
     EXPECT_TRUE(r.tenants[1].stalled);
     EXPECT_FALSE(r.tenants[0].stalled);
     bool sawStall = false;
-    for (const ServingEventRecord &ev : sink.servingEvents) {
+    for (const ServingEventRecord &ev : sink.all<ServingEventRecord>()) {
         if (ev.event == "tenant_stalled") {
             sawStall = true;
             EXPECT_EQ(ev.tenant, "e");
@@ -760,12 +751,13 @@ TEST(BufferingSink, ReplayPreservesOrderAcrossRecordKinds)
     buf.onServingEvent(s);
     EXPECT_EQ(buf.size(), 3u);
 
-    RecordingTraceSink out;
+    BufferingTraceSink out;
     buf.replayTo(out);
-    ASSERT_EQ(out.servingEvents.size(), 2u);
-    ASSERT_EQ(out.epochMem.size(), 1u);
-    EXPECT_EQ(out.servingEvents[0].event, "arrival");
-    EXPECT_EQ(out.servingEvents[1].event, "complete");
+    EXPECT_TRUE(out.records() == buf.records());
+    ASSERT_EQ(out.all<ServingEventRecord>().size(), 2u);
+    EXPECT_EQ(out.all<ServingEventRecord>()[0].event, "arrival");
+    EXPECT_EQ(std::get<EpochMemRecord>(out.records()[1]).epoch, 0);
+    EXPECT_EQ(out.all<ServingEventRecord>()[1].event, "complete");
 }
 
 } // anonymous namespace

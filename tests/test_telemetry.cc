@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/metrics.hh"
@@ -99,17 +100,17 @@ looksLikeJsonObject(const std::string &line)
 TEST(Trace, InstrDeltasSumToRunTotal)
 {
     TracedCoRun run("rollover");
-    RecordingTraceSink sink;
+    BufferingTraceSink sink;
     // Deliberately end mid-epoch so the final-partial record must
     // cover the tail for the sums to telescope.
     const Cycle cycles =
         12 * run.cfg.epochLength + run.cfg.epochLength / 3;
     run.run(&sink, nullptr, cycles);
 
-    ASSERT_FALSE(sink.epochKernel.empty());
+    ASSERT_FALSE(sink.all<EpochKernelRecord>().empty());
     std::vector<std::uint64_t> sums(2, 0);
     bool saw_final = false;
-    for (const EpochKernelRecord &rec : sink.epochKernel) {
+    for (const EpochKernelRecord &rec : sink.all<EpochKernelRecord>()) {
         ASSERT_GE(rec.kernel, 0);
         ASSERT_LT(rec.kernel, 2);
         sums[rec.kernel] += rec.instrDelta;
@@ -126,17 +127,17 @@ TEST(Trace, InstrDeltasSumToRunTotal)
 TEST(Trace, EpochIndicesAreContiguous)
 {
     TracedCoRun run("rollover");
-    RecordingTraceSink sink;
+    BufferingTraceSink sink;
     run.run(&sink, nullptr, 10 * run.cfg.epochLength);
 
     std::vector<int> per_kernel_next(2, 0);
-    for (const EpochKernelRecord &rec : sink.epochKernel)
+    for (const EpochKernelRecord &rec : sink.all<EpochKernelRecord>())
         EXPECT_EQ(rec.epoch, per_kernel_next[rec.kernel]++);
     EXPECT_EQ(per_kernel_next[0], per_kernel_next[1]);
     EXPECT_GE(per_kernel_next[0], 9);
 
     int next_mem = 0;
-    for (const EpochMemRecord &rec : sink.epochMem)
+    for (const EpochMemRecord &rec : sink.all<EpochMemRecord>())
         EXPECT_EQ(rec.epoch, next_mem++);
     EXPECT_EQ(next_mem, per_kernel_next[0]);
 }
@@ -144,12 +145,12 @@ TEST(Trace, EpochIndicesAreContiguous)
 TEST(Trace, ElasticEpochLengthNeverExceedsNominal)
 {
     TracedCoRun run("elastic");
-    RecordingTraceSink sink;
+    BufferingTraceSink sink;
     run.run(&sink, nullptr, 15 * run.cfg.epochLength);
 
-    ASSERT_FALSE(sink.epochKernel.empty());
+    ASSERT_FALSE(sink.all<EpochKernelRecord>().empty());
     bool shortened = false;
-    for (const EpochKernelRecord &rec : sink.epochKernel) {
+    for (const EpochKernelRecord &rec : sink.all<EpochKernelRecord>()) {
         EXPECT_GE(rec.length, 1u);
         EXPECT_LE(rec.length, run.cfg.epochLength);
         shortened = shortened || rec.length < run.cfg.epochLength;
@@ -196,7 +197,7 @@ TEST(Trace, SinkIsObserverOnly)
     bare.run(nullptr, nullptr, cycles);
 
     TracedCoRun traced("rollover");
-    RecordingTraceSink sink;
+    BufferingTraceSink sink;
     MetricsRegistry metrics;
     traced.run(&sink, &metrics, cycles);
 
@@ -212,38 +213,40 @@ TEST(Trace, SinkIsObserverOnly)
 
 TEST(Trace, CaseLabelingSinkStampsEveryRecord)
 {
-    RecordingTraceSink inner;
+    BufferingTraceSink inner;
     CaseLabelingSink labeled(&inner, "rollover|q:0.9000|b:0.0000");
     labeled.onEpochKernel(EpochKernelRecord{});
     labeled.onEpochMem(EpochMemRecord{});
     labeled.onAllocEvent(AllocEventRecord{});
-    ASSERT_EQ(inner.epochKernel.size(), 1u);
-    ASSERT_EQ(inner.epochMem.size(), 1u);
-    ASSERT_EQ(inner.allocEvents.size(), 1u);
-    EXPECT_EQ(inner.epochKernel[0].caseKey,
-              "rollover|q:0.9000|b:0.0000");
-    EXPECT_EQ(inner.epochMem[0].caseKey,
-              "rollover|q:0.9000|b:0.0000");
-    EXPECT_EQ(inner.allocEvents[0].caseKey,
-              "rollover|q:0.9000|b:0.0000");
+    labeled.onServingEvent(ServingEventRecord{});
+    labeled.onSmSlice(SmSliceRecord{});
+    ASSERT_EQ(inner.size(), 5u);
+    for (const TraceRecord &rec : inner.records()) {
+        std::visit(
+            [](const auto &r) {
+                EXPECT_EQ(r.caseKey, "rollover|q:0.9000|b:0.0000");
+            },
+            rec);
+    }
 }
 
-TEST(Trace, OpenTraceSinkParsesSpecs)
+TEST(Trace, OpenTraceSinkRejectsRemovedCsvSpellings)
 {
     const std::string base = testing::TempDir() + "gqos_spec_test";
-    EXPECT_EQ(traceSpecPath(base + ".jsonl,csv"), base + ".jsonl");
-    EXPECT_EQ(traceSpecPath(base), base);
-    auto bad = openTraceSink(base + ",yaml");
-    EXPECT_FALSE(bad.ok());
-    auto csv = openTraceSink(base + ".csv");
-    ASSERT_TRUE(csv.ok());
-    csv.value()->flush();
-    std::ifstream in(base + ".csv");
-    std::string header;
-    ASSERT_TRUE(std::getline(in, header));
-    EXPECT_EQ(header.rfind("type,schema_version,case,epoch", 0), 0u)
-        << header;
-    std::remove((base + ".csv").c_str());
+    for (const std::string &spec :
+         {base + ",csv", base + ".jsonl,jsonl", base + ".csv"}) {
+        auto sink = openTraceSink(spec);
+        ASSERT_FALSE(sink.ok()) << spec;
+        EXPECT_EQ(sink.error().code(), ErrorCode::InvalidArgument);
+        EXPECT_FALSE(std::ifstream(spec).good()) << spec;
+    }
+    // A plain path opens the JSONL backend.
+    auto sink = openTraceSink(base + ".jsonl");
+    ASSERT_TRUE(sink.ok());
+    EXPECT_NE(dynamic_cast<JsonlTraceSink *>(sink.value().get()),
+              nullptr);
+    sink.value().reset();
+    std::remove((base + ".jsonl").c_str());
 }
 
 TEST(Metrics, CountersGaugesAndJson)
