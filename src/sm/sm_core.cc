@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -48,8 +49,9 @@ SmCore::SmCore(const GpuConfig &cfg, SmId id, MemSystem &mem)
       warps_(cfg.maxWarpsPerSm()),
       tbs_(cfg.maxTbsPerSm),
       scheds_(cfg.warpSchedulersPerSm),
-      wakeRing_(wakeRingSize_),
-      wakeToken_(cfg.maxWarpsPerSm(), 0),
+      wakeWheel_(static_cast<std::size_t>(wakeRingSize_) *
+                 cfg.warpSchedulersPerSm),
+      wakeAt_(cfg.maxWarpsPerSm(), cycleNever),
       mshrFree_(cfg.l1Mshrs)
 {
 }
@@ -146,7 +148,7 @@ SmCore::dispatchTb(KernelId k, std::uint64_t tb_seq,
         w.readyAt = now + tbDispatchLatency;
         SchedulerState &sc = scheds_[schedOf(wslot)];
         sc.kernelMask[k] = setBit(sc.kernelMask[k], laneOf(wslot));
-        scheduleWake(wslot, w.readyAt);
+        scheduleWake(wslot, w.readyAt, now);
         found++;
     }
     gqos_assert(found == warps_needed);
@@ -243,7 +245,7 @@ SmCore::freeTb(int tb_slot, TbExit exit, Cycle now)
     for (int wslot : tb.warpSlots) {
         Warp &w = warps_[wslot];
         w.state = WarpState::Invalid;
-        wakeToken_[wslot]++; // invalidate outstanding wake entries
+        wakeAt_[wslot] = cycleNever; // its wheel bits go stale
         SchedulerState &sc = scheds_[schedOf(wslot)];
         int lane = laneOf(wslot);
         sc.ready = clearBit(sc.ready, lane);
@@ -308,47 +310,46 @@ SmCore::rebuildAgeOrder(int sched)
 }
 
 void
-SmCore::scheduleWake(int warp_slot, Cycle at)
+SmCore::scheduleWake(int warp_slot, Cycle at, Cycle now)
 {
-    std::uint32_t token = ++wakeToken_[warp_slot];
+    // Keep every wake inside one wheel revolution (and after the
+    // current cycle, whose bucket is already processed); a clamped
+    // wake finds readyAt > now and re-wakes further on.
+    at = std::clamp(at, now + 1, now + wakeRingSize_ - 1);
+    wakeAt_[warp_slot] = at;
     std::size_t idx = at & (wakeRingSize_ - 1);
-    wakeRing_[idx].push_back(
-        {static_cast<std::uint16_t>(warp_slot), token});
+    wakeWheel_[idx * numScheds_ + schedOf(warp_slot)] |=
+        std::uint64_t{1} << laneOf(warp_slot);
     wakeBits_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-    pendingWakes_++;
 }
 
 void
 SmCore::processWakes(Cycle now)
 {
-    auto &bucket = wakeRing_[now & (wakeRingSize_ - 1)];
-    if (bucket.empty())
+    std::size_t idx = now & (wakeRingSize_ - 1);
+    std::uint64_t bit = std::uint64_t{1} << (idx & 63);
+    if (!(wakeBits_[idx >> 6] & bit))
         return;
-    pendingWakes_ -= static_cast<std::int64_t>(bucket.size());
-    gqos_assert(pendingWakes_ >= 0);
-    // A wake scheduled more than one ring revolution ahead would
-    // alias; scheduleWakeClamped() below prevents that.
-    for (const WakeEntry &e : bucket) {
-        if (wakeToken_[e.warp] != e.token)
-            continue;
-        Warp &w = warps_[e.warp];
-        if (w.state != WarpState::Live)
-            continue;
-        if (w.readyAt <= now) {
-            markReady(e.warp);
-        } else {
-            Cycle at = w.readyAt;
-            if (at - now >= wakeRingSize_)
-                at = now + wakeRingSize_ - 1;
-            scheduleWake(e.warp, at);
+    // Re-wakes below always land in a different bucket (clamped to
+    // (now, now + ring size)), so clearing this bucket first is
+    // safe.
+    wakeBits_[idx >> 6] &= ~bit;
+    std::uint64_t *words = &wakeWheel_[idx * numScheds_];
+    for (int s = 0; s < numScheds_; ++s) {
+        std::uint64_t lanes = std::exchange(words[s], 0);
+        for (; lanes; lanes &= lanes - 1) {
+            int slot = slotOf(s, std::countr_zero(lanes));
+            if (wakeAt_[slot] != now)
+                continue; // stale: rescheduled or TB freed
+            Warp &w = warps_[slot];
+            if (w.state != WarpState::Live)
+                continue;
+            if (w.readyAt <= now)
+                markReady(slot);
+            else
+                scheduleWake(slot, w.readyAt, now);
         }
     }
-    bucket.clear();
-    // Re-wakes above always land in a different bucket (0 < at - now
-    // < ring size), so clearing this bucket's occupancy bit last is
-    // safe.
-    std::size_t idx = now & (wakeRingSize_ - 1);
-    wakeBits_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
 }
 
 void
@@ -488,7 +489,7 @@ SmCore::issueWarp(int warp_slot, Cycle now)
             finishWarp(warp_slot, now);
         } else {
             generateNext(w, run);
-            scheduleWake(warp_slot, ready_at);
+            scheduleWake(warp_slot, ready_at, now);
         }
         break;
       }
@@ -514,7 +515,7 @@ SmCore::issueWarp(int warp_slot, Cycle now)
             // Replay: remaining transactions re-arbitrate for the
             // LSU next cycle (access-splitting, as in GPGPU-Sim).
             w.readyAt = now + 1;
-            scheduleWake(warp_slot, w.readyAt);
+            scheduleWake(warp_slot, w.readyAt, now);
         } else {
             stats_.issuedLoads++;
             Cycle ready_at = std::max(w.memDoneAt, now + 1);
@@ -524,7 +525,7 @@ SmCore::issueWarp(int warp_slot, Cycle now)
                 finishWarp(warp_slot, now);
             } else {
                 generateNext(w, run);
-                scheduleWake(warp_slot, ready_at);
+                scheduleWake(warp_slot, ready_at, now);
             }
         }
         break;
@@ -541,7 +542,7 @@ SmCore::issueWarp(int warp_slot, Cycle now)
             static_cast<std::uint8_t>(w.next.transLeft - burst);
         if (w.next.transLeft > 0) {
             w.readyAt = now + 1;
-            scheduleWake(warp_slot, w.readyAt);
+            scheduleWake(warp_slot, w.readyAt, now);
         } else {
             stats_.issuedStores++;
             Cycle ready_at = now + 4; // store-buffer latency
@@ -550,7 +551,7 @@ SmCore::issueWarp(int warp_slot, Cycle now)
                 finishWarp(warp_slot, now);
             } else {
                 generateNext(w, run);
-                scheduleWake(warp_slot, ready_at);
+                scheduleWake(warp_slot, ready_at, now);
             }
         }
         break;
@@ -744,8 +745,7 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
         }
         for (const Drain &d : drains_)
             next = std::min(next, d.finishAt);
-        if (pendingWakes_ > 0)
-            next = std::min(next, nextWakeAfter(now));
+        next = std::min(next, nextWakeAfter(now));
         *next_event = next;
     }
 
@@ -865,8 +865,8 @@ SmCore::nextEventAt(Cycle now) const
             return now;
         next = std::min(next, d.finishAt);
     }
-    if (pendingWakes_ > 0 &&
-        !wakeRing_[now & (wakeRingSize_ - 1)].empty())
+    std::size_t due = now & (wakeRingSize_ - 1);
+    if (wakeBits_[due >> 6] & (std::uint64_t{1} << (due & 63)))
         return now;
 
     // Replay the issue arbitration read-only: if any scheduler has
@@ -921,13 +921,11 @@ SmCore::nextEventAt(Cycle now) const
                                   storeThrottleBacklog));
     }
 
-    // Never skip across a nonempty wake bucket: a bucket holds
-    // entries for exactly one absolute cycle less than one ring
-    // revolution ahead, so the first nonempty bucket in ring order
-    // starting at now + 1 is the next wake (stale-token entries
-    // only make this conservative).
-    if (pendingWakes_ > 0)
-        next = std::min(next, nextWakeAfter(now));
+    // Never skip across a nonempty wake bucket: every live bit is
+    // for one absolute cycle less than one revolution ahead, so the
+    // first nonempty bucket in ring order starting at now + 1 is the
+    // next wake (stale bits only make this conservative).
+    next = std::min(next, nextWakeAfter(now));
     return next;
 }
 

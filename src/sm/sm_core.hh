@@ -270,13 +270,12 @@ class SmCore
         std::int16_t slot;
     };
 
-    struct WakeEntry
-    {
-        std::uint16_t warp;
-        std::uint32_t token;
-    };
-
-    static constexpr int wakeRingSize_ = 4096;
+    /**
+     * Wake-wheel buckets. A power of two; large enough that the
+     * clamp in scheduleWake() fires on under 0.5% of wakes in the
+     * Figure-6 sweeps (DESIGN.md section 11).
+     */
+    static constexpr int wakeRingSize_ = 1024;
 
     int schedOf(int warp_slot) const
     {
@@ -322,7 +321,7 @@ class SmCore
     std::uint32_t allowedKernelMask() const;
     std::uint32_t mshrOkKernelMask() const;
     bool storeThrottled(Cycle now) const;
-    void scheduleWake(int warp_slot, Cycle at);
+    void scheduleWake(int warp_slot, Cycle at, Cycle now);
     void processWakes(Cycle now);
     void processDrains(Cycle now);
     void markReady(int warp_slot);
@@ -365,18 +364,19 @@ class SmCore
     int tbSlotsUsed_ = 0;
 
     // wake machinery
-    std::vector<std::vector<WakeEntry>> wakeRing_;
-    std::vector<std::uint32_t> wakeToken_;
     /**
-     * Entries currently sitting in the ring (including stale ones
-     * whose token no longer matches). Lets nextEventAt() skip the
-     * ring scan entirely on a wake-free SM.
+     * Bitmask timing wheel: word [bucket * numScheds_ + sched] holds
+     * the lanes of @c sched with a wake in that bucket. Bits are
+     * never cleared on invalidation; a bit is live only while the
+     * lane's wakeAt_ equals the cycle its bucket is processed.
      */
-    std::int64_t pendingWakes_ = 0;
+    std::vector<std::uint64_t> wakeWheel_;
+    /** Pending wake cycle per warp slot, or cycleNever. */
+    std::vector<Cycle> wakeAt_;
     /**
-     * Occupancy bitmap over the wake ring: bit i set iff
-     * wakeRing_[i] is nonempty. Turns nextEventAt()'s
-     * next-nonempty-bucket scan into a word-at-a-time search.
+     * Occupancy bitmap over the wheel: bit i set iff some word of
+     * bucket i is nonzero. Turns nextEventAt()'s next-nonempty-
+     * bucket scan into a word-at-a-time search.
      */
     std::array<std::uint64_t, wakeRingSize_ / 64> wakeBits_{};
 

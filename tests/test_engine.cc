@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <tuple>
@@ -21,6 +22,7 @@
 #include "harness/runner.hh"
 #include "mem/mem_system.hh"
 #include "policy/even_share.hh"
+#include "policy/policy_factory.hh"
 #include "policy/smk_fair.hh"
 #include "sm/kernel_run.hh"
 #include "sm/sm_core.hh"
@@ -403,6 +405,171 @@ TEST(EngineDifferentialSmkFair, BitIdenticalWithoutHarness)
     EXPECT_EQ(std::get<0>(ev), std::get<0>(ref));
     EXPECT_EQ(std::get<1>(ev), std::get<1>(ref));
     EXPECT_DOUBLE_EQ(std::get<2>(ev), std::get<2>(ref));
+}
+
+// ---------------------------------------------------------------
+// Differential on non-Table-1 machines: full-width scheduler lanes
+// (64 warps per scheduler) and wakes beyond one wake-wheel revolution.
+// ---------------------------------------------------------------
+
+/** Everything a manual-launch co-run observes. */
+struct MachineRun
+{
+    std::vector<std::uint64_t> counters;
+    std::vector<KernelDispatchState> dispatch;
+    BufferingTraceSink trace;
+    int peakWarps = 0; //!< most warps resident on one SM at a probe
+};
+
+/**
+ * Run one grid of each of @p descs under @p policy (kernel 0 the QoS
+ * kernel, goal @p goal) on @p cfg for @p cycles, recording every
+ * statistic the machine exposes plus SM-slice and policy telemetry.
+ * Probes per-SM occupancy every 500 cycles.
+ */
+void
+runMachine(const GpuConfig &cfg, const std::vector<KernelDesc> &descs,
+           const std::string &policy, double goal, Cycle cycles,
+           EngineKind kind, MachineRun &out)
+{
+    Gpu gpu(cfg);
+    std::vector<const KernelDesc *> ptrs;
+    for (const KernelDesc &d : descs)
+        ptrs.push_back(&d);
+    gpu.launch(ptrs);
+    int nk = gpu.numKernels();
+    for (int k = 0; k < nk; ++k)
+        gpu.setManualLaunch(k);
+    gpu.setCycleAccounting(true);
+    gpu.setSmSliceCallback([&out](SmId sm, KernelId k, Cycle start,
+                                  Cycle end) {
+        out.trace.onSmSlice({"", sm, k, start, end});
+    });
+    auto pol = makePolicy(policy,
+                          {QosSpec::qos(goal), QosSpec::nonQos()}, cfg)
+                   .value();
+    pol->attachTelemetry(&out.trace, nullptr);
+    pol->onLaunch(gpu);
+    for (int k = 0; k < nk; ++k)
+        gpu.startGrid(k);
+    SimEngine engine(kind, cfg.epochLength);
+    for (Cycle t = 500; t <= cycles; t += 500) {
+        ASSERT_FALSE(engine.runUntil(gpu, *pol, t));
+        for (int s = 0; s < gpu.numSms(); ++s) {
+            int warps = 0;
+            for (int k = 0; k < nk; ++k)
+                warps += gpu.sm(s).residentWarps(k);
+            out.peakWarps = std::max(out.peakWarps, warps);
+        }
+    }
+    pol->onFinish(gpu);
+    gpu.closeOpenSmSlices();
+
+    auto &c = out.counters;
+    for (int k = 0; k < nk; ++k) {
+        const KernelDispatchState &ds = gpu.dispatchState(k);
+        out.dispatch.push_back(ds);
+        c.insert(c.end(), {gpu.threadInstrs(k), gpu.warpInstrs(k),
+                           ds.completedTbs, ds.preemptedTbs,
+                           ds.gridsCompleted, ds.lastGridCompletedAt});
+        CycleBreakdown b = gpu.cycleBreakdown(k);
+        c.insert(c.end(), b.counts.begin(), b.counts.end());
+    }
+    for (int s = 0; s < gpu.numSms(); ++s) {
+        const SmStats &st = gpu.sm(s).stats();
+        c.insert(c.end(), {st.cycles, st.activeCycles, st.issuedAlu,
+                           st.issuedSfu, st.issuedSmem, st.issuedLoads,
+                           st.issuedStores, st.preemptions});
+        for (int k = 0; k < nk; ++k) {
+            const SmKernelStats &ks = gpu.sm(s).kernelStats(k);
+            c.insert(c.end(), {ks.threadInstrs, ks.warpInstrs,
+                               ks.iwSampleSum, ks.iwSamples,
+                               ks.gatedCycles, ks.quotaRefills});
+        }
+    }
+    const MemSystemStats &ms = gpu.mem().stats();
+    c.insert(c.end(), {ms.l1Accesses, ms.l1Misses, ms.stores,
+                       gpu.mem().totalL2Accesses(),
+                       gpu.mem().totalDramAccesses()});
+}
+
+/**
+ * A compute mix and a memory mix of 48-TB grids (@p threads_per_tb
+ * threads per TB) on @p cfg, under even sharing and under rollover:
+ * both engines must agree on every counter and trace record, some SM
+ * must reach @p min_peak_warps resident warps, and under even sharing
+ * (which never throttles a kernel) every dispatched TB must run to
+ * completion within @p cycles, leaving nothing resident.
+ */
+void
+expectMachineIdentical(const GpuConfig &cfg, int threads_per_tb,
+                       Cycle cycles, int min_peak_warps)
+{
+    cfg.validate();
+    constexpr int gridTbs = 48;
+    auto mix = [&](KernelDesc d, double goal) {
+        d.threadsPerTb = threads_per_tb;
+        d.gridTbs = gridTbs;
+        KernelDesc other = d;
+        other.name += "-bg";
+        other.seed += 100;
+        return std::pair{std::vector<KernelDesc>{d, other}, goal};
+    };
+    KernelDesc m = test::tinyMemoryKernel();
+    m.warpInstrPerTb = 40;
+    for (const auto &[descs, goal] :
+         {mix(test::tinyComputeKernel(), 50.0), mix(m, 5.0)}) {
+        for (const char *policy : {"even", "rollover"}) {
+            SCOPED_TRACE(descs[0].name + " mix, " + policy);
+            MachineRun ev, ref;
+            runMachine(cfg, descs, policy, goal, cycles,
+                       EngineKind::Event, ev);
+            runMachine(cfg, descs, policy, goal, cycles,
+                       EngineKind::Reference, ref);
+            EXPECT_EQ(ev.counters, ref.counters);
+            EXPECT_EQ(ev.peakWarps, ref.peakWarps);
+            EXPECT_GE(ev.peakWarps, min_peak_warps);
+            const std::vector<TraceRecord> &x = ev.trace.records();
+            const std::vector<TraceRecord> &y = ref.trace.records();
+            ASSERT_EQ(x.size(), y.size());
+            EXPECT_FALSE(x.empty());
+            for (std::size_t i = 0; i < x.size(); ++i)
+                EXPECT_TRUE(x[i] == y[i]) << "trace record " << i;
+            if (std::string(policy) != "even")
+                continue;
+            for (const KernelDispatchState &ds : ev.dispatch) {
+                EXPECT_EQ(ds.gridsCompleted, 1u);
+                EXPECT_EQ(ds.completedTbs,
+                          static_cast<std::uint64_t>(gridTbs));
+                EXPECT_EQ(ds.liveTbs, 0);
+            }
+        }
+    }
+}
+
+TEST(EngineMachineDifferential, FourSchedulersOfSixtyFourWarps)
+{
+    GpuConfig cfg = defaultConfig();
+    cfg.numSms = 2;
+    cfg.maxThreadsPerSm = 8192; // 256 warps: 64 lanes per scheduler
+    cfg.regFileBytes = 512 * 1024;
+    expectMachineIdentical(cfg, 256, 200000, 256);
+}
+
+TEST(EngineMachineDifferential, OneSchedulerOfSixtyFourWarps)
+{
+    GpuConfig cfg = defaultConfig();
+    cfg.numSms = 2;
+    cfg.warpSchedulersPerSm = 1;
+    expectMachineIdentical(cfg, 128, 200000, 64);
+}
+
+TEST(EngineMachineDifferential, WakesBeyondOneWheelRevolution)
+{
+    GpuConfig cfg = defaultConfig();
+    cfg.numSms = 2;
+    cfg.dramLatency = 3000; // load completions > 1024 cycles ahead
+    expectMachineIdentical(cfg, 128, 800000, 64);
 }
 
 } // anonymous namespace

@@ -1,12 +1,13 @@
 /**
  * @file
  * SM-core tests: TB dispatch and resource accounting, execution
- * progress, EWS quota gating, preemption, idle-warp sampling and
- * determinism.
+ * progress, EWS quota gating, preemption, idle-warp sampling,
+ * long-latency wakes and determinism.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "mem/mem_system.hh"
@@ -43,8 +44,10 @@ struct SmFixture : public ::testing::Test
     void
     run(Cycle cycles)
     {
-        for (Cycle c = 0; c < cycles; ++c)
-            sm.cycle(now++, (now % 100) == 0);
+        for (Cycle c = 0; c < cycles; ++c) {
+            sm.cycle(now, now % 100 == 0);
+            ++now;
+        }
     }
 
     GpuConfig cfg;
@@ -213,6 +216,58 @@ TEST_F(SmFixture, TwoKernelsShareTheSm)
     run(30000);
     EXPECT_GT(sm.kernelStats(0).threadInstrs, 0u);
     EXPECT_GT(sm.kernelStats(1).threadInstrs, 0u);
+}
+
+TEST(SmCoreLongLatency, WarpReadyExactlyAtFarLoadCompletion)
+{
+    // Loads that complete more than one wake-wheel revolution (1024
+    // cycles) ahead take the clamp-and-re-wake path. A single warp
+    // streaming cold lines makes every load a DRAM miss, and a twin
+    // memory system fed the same loads gives their exact completion
+    // cycles.
+    GpuConfig cfg = defaultConfig();
+    cfg.dramLatency = 3000;
+    KernelDesc d = test::tinyMemoryKernel("far");
+    d.threadsPerTb = 32; // one warp: nothing else can issue
+    d.warpInstrPerTb = 24;
+    d.phases[0].memRatio = 0.5;
+    d.phases[0].storeFraction = 0.0;
+    d.phases[0].avgTransPerMem = 1.0; // one transaction per load
+    d.phases[0].hotFraction = 0.0;    // every line cold
+    MemSystem mem(cfg);
+    MemSystem twin(cfg);
+    SmCore sm(cfg, 0, mem);
+    KernelRun run(d, 0, cfg);
+    sm.bindKernels({&run});
+    int completed = 0;
+    sm.setTbEventCallback([&](SmId, KernelId, TbExit e) {
+        completed += e == TbExit::Completed;
+    });
+    ASSERT_TRUE(sm.dispatchTb(0, 0, 0, 0));
+
+    std::uint64_t loads = 0;
+    std::uint64_t far_loads = 0;
+    Cycle ready_at = 0; // when the last load's warp may issue again
+    for (Cycle now = 0; now < 400000 && completed == 0; ++now) {
+        bool issued = sm.cycle(now, false);
+        if (ready_at > 0) {
+            ASSERT_EQ(issued, now == ready_at) << "cycle " << now;
+            if (issued)
+                ready_at = 0;
+        }
+        if (sm.stats().issuedLoads == loads)
+            continue;
+        MemAccess acc = twin.load(
+            0, 0, run.coldBase() + loads * lineSizeBytes, now);
+        ASSERT_TRUE(acc.l1Miss);
+        loads = sm.stats().issuedLoads;
+        ready_at = std::max(acc.readyAt, now + 1);
+        far_loads += ready_at - now > 1024;
+    }
+    EXPECT_EQ(completed, 1);
+    EXPECT_EQ(sm.kernelStats(0).warpInstrs, d.warpInstrPerTb);
+    EXPECT_GT(loads, 0u);
+    EXPECT_EQ(far_loads, loads);
 }
 
 TEST(SmCoreDeterminism, SameSeedSameExecution)

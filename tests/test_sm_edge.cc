@@ -1,6 +1,6 @@
 /**
  * @file
- * Edge-case tests for subtle SM mechanics: wake-ring wrap-around
+ * Edge-case tests for subtle SM mechanics: wake-wheel wrap-around
  * under extreme memory latency, per-kernel MSHR fairness caps, and
  * store throttling under interconnect backlog.
  */
@@ -19,9 +19,10 @@ namespace
 
 TEST(SmEdge, WarpsSurviveLatenciesBeyondTheWakeRing)
 {
-    // Congest DRAM so badly that load latencies exceed the 4096-
-    // entry wake ring; warps must still wake (via re-insertion)
-    // and the kernel must finish its work.
+    // Congest DRAM so badly that load latencies grow long; warps
+    // must still wake (via clamped re-wakes once a load completes
+    // beyond the 1024-bucket wake wheel) and the kernel must finish
+    // its work.
     GpuConfig cfg = defaultConfig();
     cfg.dramSlotsPerCycle = 0.02; // pathological bandwidth
     KernelDesc d = test::tinyMemoryKernel();
