@@ -19,9 +19,9 @@
 # and --jobs 1: stdout and cache lines must match the untraced run,
 # the JSONL must hold the same lines and the timeline the same
 # bytes at both job counts. The default preset additionally runs the engine
-# differential smoke: every simulating figure bench must print
-# byte-identical stdout (and byte-identical --trace JSONL) under
-# --engine event and --engine reference.
+# differential smoke: every simulating figure bench and bench_serving
+# must print byte-identical stdout (and byte-identical --trace JSONL)
+# under --engine event and --engine reference.
 #
 #   scripts/check.sh            # all four presets + smokes
 #   scripts/check.sh default    # just the fast one
@@ -331,6 +331,23 @@ bench_ablations bench_fairness"
             echo "engine smoke: $b trace differs" >&2; return 1; }
         echo "    $b: identical"
     done
+
+    # Serving drives manual-launch grids, whole-GPU skips and the
+    # quota controller's control points harder than any figure.
+    local sflags="--launches 200 --loads 0.5,2.0 --rate 0.08 --jobs 1"
+    local e
+    for e in event reference; do
+        # shellcheck disable=SC2086
+        "$bdir/bench_serving" $sflags --engine "$e" \
+            --trace "$scratch/serving.$e.jsonl" \
+            > "$scratch/serving.$e.out" 2>/dev/null
+    done
+    cmp "$scratch/serving.event.out" "$scratch/serving.reference.out" || {
+        echo "engine smoke: bench_serving stdout differs" >&2; return 1; }
+    cmp "$scratch/serving.event.jsonl" \
+        "$scratch/serving.reference.jsonl" || {
+        echo "engine smoke: bench_serving trace differs" >&2; return 1; }
+    echo "    bench_serving: identical"
 }
 
 for preset in "${presets[@]}"; do

@@ -30,6 +30,7 @@
 #ifndef GQOS_ENGINE_SIM_ENGINE_HH
 #define GQOS_ENGINE_SIM_ENGINE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -112,6 +113,19 @@ class SimEngine
   public:
     /** Watchdog sampling stride in cycles (both engines). */
     static constexpr Cycle watchdogStride = 1024;
+
+    /** Smallest window epochStallWindow() returns. */
+    static constexpr Cycle minStallWindow = 10000;
+
+    /**
+     * Stall window for @p epoch_length-cycle QoS epochs: one epoch,
+     * floored so a short epoch does not flag a DRAM wait as a stall.
+     */
+    static Cycle
+    epochStallWindow(Cycle epoch_length)
+    {
+        return std::max(epoch_length, minStallWindow);
+    }
 
     /** @param stall_window see StallDetector */
     SimEngine(EngineKind kind, Cycle stall_window);

@@ -102,6 +102,28 @@ Gpu::onTbEvent(SmId sm, KernelId k, TbExit exit)
     }
 }
 
+int
+Gpu::shrinkVictim(std::size_t s) const
+{
+    // One pending preemption per SM at a time.
+    const SmCore &sm = sms_[s];
+    if (sm.preemptionPending())
+        return -1;
+    for (int k = 0; k < numKernels(); ++k) {
+        if (sm.residentTbs(k) > tbTargets_[s][k])
+            return k;
+    }
+    return -1;
+}
+
+bool
+Gpu::canGrow(std::size_t s, KernelId k) const
+{
+    return dispatch_[k].remainingInLaunch > 0 &&
+           sms_[s].residentTbs(k) < tbTargets_[s][k] &&
+           sms_[s].canAccept(k);
+}
+
 bool
 Gpu::dispatchCycle()
 {
@@ -110,15 +132,11 @@ Gpu::dispatchCycle()
     for (std::size_t s = 0; s < sms_.size(); ++s) {
         SmCore &sm = sms_[s];
 
-        // Shrink first: one pending preemption per SM at a time.
-        if (!sm.preemptionPending()) {
-            for (int k = 0; k < nk; ++k) {
-                if (sm.residentTbs(k) > tbTargets_[s][k]) {
-                    sm.startPreemption(k, now_);
-                    acted = true;
-                    break;
-                }
-            }
+        // Shrink first.
+        int victim = shrinkVictim(s);
+        if (victim >= 0) {
+            sm.startPreemption(victim, now_);
+            acted = true;
         }
 
         // Grow: at most one TB dispatched per SM per cycle.
@@ -128,11 +146,7 @@ Gpu::dispatchCycle()
             int k = start + i;
             if (k >= nk)
                 k -= nk;
-            if (dispatch_[k].remainingInLaunch <= 0)
-                continue;
-            if (sm.residentTbs(k) >= tbTargets_[s][k])
-                continue;
-            if (!sm.canAccept(k))
+            if (!canGrow(s, k))
                 continue;
             std::uint64_t launch_pos = static_cast<std::uint64_t>(
                 runs_[k].desc().gridTbs -
@@ -153,24 +167,11 @@ Gpu::dispatchCycle()
 bool
 Gpu::dispatcherWouldAct() const
 {
-    // Read-only replay of dispatchCycle()'s two decisions. Must
-    // stay in lockstep with it: any condition the dispatcher acts
-    // on must be visible here.
-    int nk = numKernels();
     for (std::size_t s = 0; s < sms_.size(); ++s) {
-        const SmCore &sm = sms_[s];
-        if (!sm.preemptionPending()) {
-            for (int k = 0; k < nk; ++k) {
-                if (sm.residentTbs(k) > tbTargets_[s][k])
-                    return true;
-            }
-        }
-        for (int k = 0; k < nk; ++k) {
-            if (dispatch_[k].remainingInLaunch <= 0)
-                continue;
-            if (sm.residentTbs(k) >= tbTargets_[s][k])
-                continue;
-            if (sm.canAccept(k))
+        if (shrinkVictim(s) >= 0)
+            return true;
+        for (int k = 0; k < numKernels(); ++k) {
+            if (canGrow(s, k))
                 return true;
         }
     }

@@ -232,6 +232,13 @@ class Gpu
     std::uint64_t smSkippedCycles() const { return smSkipped_; }
 
   private:
+    /**
+     * The dispatcher's per-SM decisions, shared by dispatchCycle()
+     * and its probe: the kernel to shed a TB of (-1: none), and
+     * whether to place a TB of @p k.
+     */
+    int shrinkVictim(std::size_t s) const;
+    bool canGrow(std::size_t s, KernelId k) const;
     bool dispatchCycle();
     bool dispatcherWouldAct() const;
     void onTbEvent(SmId sm, KernelId k, TbExit exit);

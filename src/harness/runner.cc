@@ -205,8 +205,9 @@ Runner::simulate(const std::vector<std::string> &kernels,
     // watchdog aborts non-advancing simulations (a policy bug
     // gating every warp forever) with a structured error instead
     // of spinning: no instruction retired across a full epoch
-    // window while live warps exist.
-    SimEngine engine(opts_.engine, cfg_.epochLength);
+    // (at least SimEngine::minStallWindow) while live warps exist.
+    SimEngine engine(opts_.engine,
+                     SimEngine::epochStallWindow(cfg_.epochLength));
 
     Cycle warmup = std::min(opts_.warmupCycles, opts_.cycles / 2);
     std::vector<std::uint64_t> instr_at_warmup(kernels.size(), 0);

@@ -13,6 +13,18 @@
 namespace gqos
 {
 
+namespace
+{
+
+/** The work-conserving refill: @p sm sits fully drained with work. */
+bool
+refillDue(const SmCore &sm)
+{
+    return sm.allQuotasExhausted() && sm.totalResidentTbs() > 0;
+}
+
+} // anonymous namespace
+
 SmkFairPolicy::SmkFairPolicy(std::vector<double> isolated_ipc,
                              SmkFairOptions opts,
                              Cycle epoch_length)
@@ -107,7 +119,7 @@ SmkFairPolicy::onCycle(Gpu &gpu)
     // hand out another equal round instead of idling the SM.
     for (int s = 0; s < gpu.numSms(); ++s) {
         SmCore &sm = gpu.sm(s);
-        if (!sm.allQuotasExhausted())
+        if (!refillDue(sm))
             continue;
         for (int k = 0; k < gpu.numKernels(); ++k) {
             if (sm.residentTbs(k) > 0) {
@@ -124,17 +136,11 @@ SmkFairPolicy::nextControlAt(const Gpu &gpu, Cycle now) const
     Cycle boundary = epochStart_ + epochLength_;
     if (now >= boundary)
         return now;
-    // The work-conserving refill in onCycle() fires while any SM
-    // sits fully drained with resident work; quota counters are
-    // frozen when the machine is idle, so checking once is exact.
+    // Quota counters are frozen when the machine is idle, so a
+    // refill not due now stays undue until the boundary.
     for (int s = 0; s < gpu.numSms(); ++s) {
-        const SmCore &sm = gpu.sm(s);
-        if (!sm.allQuotasExhausted())
-            continue;
-        for (int k = 0; k < gpu.numKernels(); ++k) {
-            if (sm.residentTbs(k) > 0)
-                return now;
-        }
+        if (refillDue(gpu.sm(s)))
+            return now;
     }
     return boundary;
 }

@@ -373,32 +373,20 @@ QuotaController::elasticReady(const Gpu &gpu, Cycle now) const
 }
 
 bool
-QuotaController::timeMuxReleasePending(const Gpu &gpu) const
+QuotaController::releaseDue(const SmCore &sm, SmId s) const
 {
-    if (!opts_.timeMux)
-        return false;
-    for (int s = 0; s < gpu.numSms(); ++s) {
-        if (!released_[s] && qosQuotasExhausted(gpu.sm(s)))
-            return true;
-    }
-    return false;
+    return opts_.timeMux && !released_[s] && qosQuotasExhausted(sm);
 }
 
 bool
-QuotaController::refillPending(const Gpu &gpu) const
+QuotaController::refillDue(const SmCore &sm, SmId s) const
 {
-    if (nonQosIds_.empty())
+    if (nonQosIds_.empty() || (opts_.timeMux && !released_[s]) ||
+        !sm.allQuotasExhausted())
         return false;
-    for (int s = 0; s < gpu.numSms(); ++s) {
-        if (opts_.timeMux && !released_[s])
-            continue;
-        const SmCore &sm = gpu.sm(s);
-        if (!sm.allQuotasExhausted())
-            continue;
-        for (int j : nonQosIds_) {
-            if (sm.residentTbs(j) > 0)
-                return true;
-        }
+    for (int j : nonQosIds_) {
+        if (sm.residentTbs(j) > 0)
+            return true;
     }
     return false;
 }
@@ -407,14 +395,15 @@ Cycle
 QuotaController::nextControlAt(const Gpu &gpu, Cycle now) const
 {
     Cycle boundary = epochStart_ + epochLength_;
-    if (now >= boundary)
+    if (now >= boundary || elasticReady(gpu, now))
         return now;
-    // The mid-epoch conditions below mirror onCycle() exactly; if
-    // none fires now, none can fire while the machine is idle, so
-    // the next control point is the forced boundary.
-    if (elasticReady(gpu, now) || timeMuxReleasePending(gpu) ||
-        refillPending(gpu)) {
-        return now;
+    // onCycle() acts mid-epoch exactly where these predicates hold;
+    // if none does now, none can while the machine is idle, so the
+    // next control point is the forced boundary.
+    for (int s = 0; s < gpu.numSms(); ++s) {
+        const SmCore &sm = gpu.sm(s);
+        if (releaseDue(sm, s) || refillDue(sm, s))
+            return now;
     }
     return boundary;
 }
@@ -435,45 +424,32 @@ QuotaController::onCycle(Gpu &gpu)
         new_epoch = true;
     }
 
-    // Rollover-Time: release stashed non-QoS quota per SM once its
-    // QoS kernels exhausted theirs.
-    if (opts_.timeMux) {
-        for (int s = 0; s < gpu.numSms(); ++s) {
-            if (released_[s])
-                continue;
-            SmCore &sm = gpu.sm(s);
-            if (qosQuotasExhausted(sm)) {
-                for (int j : nonQosIds_)
-                    sm.addQuota(j, pendingRelease_[s][j]);
-                released_[s] = true;
-            }
+    for (int s = 0; s < gpu.numSms(); ++s) {
+        SmCore &sm = gpu.sm(s);
+        // Rollover-Time: release stashed non-QoS quota per SM once
+        // its QoS kernels exhausted theirs.
+        if (releaseDue(sm, s)) {
+            for (int j : nonQosIds_)
+                sm.addQuota(j, pendingRelease_[s][j]);
+            released_[s] = true;
         }
-    }
-
-    // Mid-epoch refill (Section 3.4.1): once every kernel on an SM
-    // has consumed its quota, non-QoS kernels get another share so
-    // the SM keeps running until the epoch ends. Elastic restarts
-    // the (global) epoch when every SM drains; the per-SM refill
-    // also applies there so an early-draining SM is not idled by a
-    // straggler SM.
-    if (!nonQosIds_.empty()) {
-        for (int s = 0; s < gpu.numSms(); ++s) {
-            SmCore &sm = gpu.sm(s);
-            if (opts_.timeMux && !released_[s])
-                continue;
-            if (!sm.allQuotasExhausted())
-                continue;
-            for (int j : nonQosIds_) {
-                if (sm.residentTbs(j) == 0)
-                    continue; // no TBs here: quota would just pool
-                double share = localQuota_[s][j];
-                if (share <= 0.0)
-                    share = nonQosGoalMin * epochLength_ /
-                            gpu.numSms();
-                sm.addQuota(j, share);
-                if (refillGrantsCtr_)
-                    refillGrantsCtr_->inc();
-            }
+        // Mid-epoch refill (Section 3.4.1): once every kernel on an
+        // SM has consumed its quota, non-QoS kernels get another
+        // share so the SM keeps running until the epoch ends.
+        // Elastic restarts the (global) epoch when every SM drains;
+        // the per-SM refill also applies there so an early-draining
+        // SM is not idled by a straggler SM.
+        if (!refillDue(sm, s))
+            continue;
+        for (int j : nonQosIds_) {
+            if (sm.residentTbs(j) == 0)
+                continue; // no TBs here: quota would just pool
+            double share = localQuota_[s][j];
+            if (share <= 0.0)
+                share = nonQosGoalMin * epochLength_ / gpu.numSms();
+            sm.addQuota(j, share);
+            if (refillGrantsCtr_)
+                refillGrantsCtr_->inc();
         }
     }
     return new_epoch;

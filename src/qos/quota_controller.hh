@@ -166,8 +166,14 @@ class QuotaController
     void distributeQuota(Gpu &gpu, KernelId k, double total_quota);
     bool qosQuotasExhausted(const SmCore &sm) const;
     bool elasticReady(const Gpu &gpu, Cycle now) const;
-    bool timeMuxReleasePending(const Gpu &gpu) const;
-    bool refillPending(const Gpu &gpu) const;
+    /**
+     * onCycle()'s mid-epoch decisions on SM @p s, also evaluated by
+     * nextControlAt(): release the Rollover-Time stash, and refill
+     * the non-QoS kernels. Inline: onCycle() runs every stepped
+     * cycle and asks both for every SM.
+     */
+    inline bool releaseDue(const SmCore &sm, SmId s) const;
+    inline bool refillDue(const SmCore &sm, SmId s) const;
     void emitEpochTrace(Gpu &gpu, bool final_partial);
 
     std::vector<QosSpec> specs_;

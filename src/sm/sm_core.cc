@@ -66,7 +66,6 @@ SmCore::bindKernels(const std::vector<const KernelRun *> &runs)
     runs_ = runs;
     for (auto &kc : kernels_)
         kc = KernelCtx();
-    inertClass_.fill(CycleCat::InertSkipped);
     for (std::size_t k = 0; k < runs_.size(); ++k) {
         gqos_assert(runs_[k] != nullptr);
         gqos_assert(runs_[k]->id() == static_cast<KernelId>(k));
@@ -189,11 +188,7 @@ SmCore::startPreemption(KernelId k, Cycle now)
         Warp &w = warps_[wslot];
         if (w.state == WarpState::Live)
             w.state = WarpState::Draining;
-        SchedulerState &sc = scheds_[schedOf(wslot)];
-        int lane = laneOf(wslot);
-        sc.ready = clearBit(sc.ready, lane);
-        sc.loadMask = clearBit(sc.loadMask, lane);
-        sc.storeMask = clearBit(sc.storeMask, lane);
+        clearSchedBits(wslot);
     }
 
     Cycle finish = now + drainCycles_;
@@ -226,7 +221,7 @@ SmCore::processDrains(Cycle now)
             int slot = drains_[i].slot;
             drains_[i] = drains_.back();
             drains_.pop_back();
-            freeTb(slot, TbExit::Preempted, now);
+            freeTb(slot, TbExit::Preempted);
         } else {
             ++i;
         }
@@ -234,7 +229,7 @@ SmCore::processDrains(Cycle now)
 }
 
 void
-SmCore::freeTb(int tb_slot, TbExit exit, Cycle now)
+SmCore::freeTb(int tb_slot, TbExit exit)
 {
     TbSlot &tb = tbs_[tb_slot];
     gqos_assert(tb.valid);
@@ -246,12 +241,9 @@ SmCore::freeTb(int tb_slot, TbExit exit, Cycle now)
         Warp &w = warps_[wslot];
         w.state = WarpState::Invalid;
         wakeAt_[wslot] = cycleNever; // its wheel bits go stale
+        clearSchedBits(wslot);
         SchedulerState &sc = scheds_[schedOf(wslot)];
-        int lane = laneOf(wslot);
-        sc.ready = clearBit(sc.ready, lane);
-        sc.loadMask = clearBit(sc.loadMask, lane);
-        sc.storeMask = clearBit(sc.storeMask, lane);
-        sc.kernelMask[k] = clearBit(sc.kernelMask[k], lane);
+        sc.kernelMask[k] = clearBit(sc.kernelMask[k], laneOf(wslot));
     }
     bool was_draining = tb.draining;
     tb.valid = false;
@@ -276,7 +268,6 @@ SmCore::freeTb(int tb_slot, TbExit exit, Cycle now)
 
     if (tbEvent_)
         tbEvent_(id_, k, exit);
-    (void)now;
 }
 
 // ---------------------------------------------------------------
@@ -443,18 +434,35 @@ SmCore::genAddress(Warp &w, const PhaseRt &ph, const KernelRun &run)
 }
 
 void
-SmCore::retireInstr(Warp &w, KernelCtx &kc, Cycle ready_at)
+SmCore::retireInstr(int warp_slot, Cycle ready_at, Cycle now)
 {
+    Warp &w = warps_[warp_slot];
+    KernelCtx &kc = kernels_[w.kernel];
     kc.stats.threadInstrs += w.next.lanes;
     kc.stats.warpInstrs++;
     if (quotaGating_)
         kc.quota -= w.next.lanes;
     w.instrIdx++;
     w.readyAt = ready_at;
+    if (w.instrIdx >= kc.run->desc().warpInstrPerTb) {
+        finishWarp(warp_slot);
+    } else {
+        generateNext(w, *kc.run);
+        scheduleWake(warp_slot, ready_at, now);
+    }
 }
 
 void
-SmCore::finishWarp(int warp_slot, Cycle now)
+SmCore::rearbitrate(int warp_slot, Cycle now)
+{
+    // Replay: the remaining transactions re-arbitrate for the LSU
+    // next cycle (access-splitting, as in GPGPU-Sim).
+    warps_[warp_slot].readyAt = now + 1;
+    scheduleWake(warp_slot, now + 1, now);
+}
+
+void
+SmCore::finishWarp(int warp_slot)
 {
     Warp &w = warps_[warp_slot];
     w.state = WarpState::Finished;
@@ -462,7 +470,7 @@ SmCore::finishWarp(int warp_slot, Cycle now)
     TbSlot &tb = tbs_[w.tbSlot];
     tb.warpsFinished++;
     if (tb.warpsFinished == tb.warpsTotal && !tb.draining)
-        freeTb(w.tbSlot, TbExit::Completed, now);
+        freeTb(w.tbSlot, TbExit::Completed);
 }
 
 void
@@ -476,23 +484,15 @@ SmCore::issueWarp(int warp_slot, Cycle now)
     switch (w.next.cls) {
       case InstrClass::Alu:
       case InstrClass::Sfu:
-      case InstrClass::SharedMem: {
+      case InstrClass::SharedMem:
         if (w.next.cls == InstrClass::Alu)
             stats_.issuedAlu++;
         else if (w.next.cls == InstrClass::Sfu)
             stats_.issuedSfu++;
         else
             stats_.issuedSmem++;
-        Cycle ready_at = now + w.next.latency;
-        retireInstr(w, kc, ready_at);
-        if (w.instrIdx >= run.desc().warpInstrPerTb) {
-            finishWarp(warp_slot, now);
-        } else {
-            generateNext(w, run);
-            scheduleWake(warp_slot, ready_at, now);
-        }
+        retireInstr(warp_slot, now + w.next.latency, now);
         break;
-      }
       case InstrClass::GlobalLoad: {
         const PhaseRt &ph = run.phase(w.phaseIdx);
         int burst = std::min({static_cast<int>(w.next.transLeft),
@@ -512,21 +512,12 @@ SmCore::issueWarp(int warp_slot, Cycle now)
         w.next.transLeft =
             static_cast<std::uint8_t>(w.next.transLeft - burst);
         if (w.next.transLeft > 0) {
-            // Replay: remaining transactions re-arbitrate for the
-            // LSU next cycle (access-splitting, as in GPGPU-Sim).
-            w.readyAt = now + 1;
-            scheduleWake(warp_slot, w.readyAt, now);
+            rearbitrate(warp_slot, now);
         } else {
             stats_.issuedLoads++;
             Cycle ready_at = std::max(w.memDoneAt, now + 1);
             w.memDoneAt = 0;
-            retireInstr(w, kc, ready_at);
-            if (w.instrIdx >= run.desc().warpInstrPerTb) {
-                finishWarp(warp_slot, now);
-            } else {
-                generateNext(w, run);
-                scheduleWake(warp_slot, ready_at, now);
-            }
+            retireInstr(warp_slot, ready_at, now);
         }
         break;
       }
@@ -541,18 +532,10 @@ SmCore::issueWarp(int warp_slot, Cycle now)
         w.next.transLeft =
             static_cast<std::uint8_t>(w.next.transLeft - burst);
         if (w.next.transLeft > 0) {
-            w.readyAt = now + 1;
-            scheduleWake(warp_slot, w.readyAt, now);
+            rearbitrate(warp_slot, now);
         } else {
             stats_.issuedStores++;
-            Cycle ready_at = now + 4; // store-buffer latency
-            retireInstr(w, kc, ready_at);
-            if (w.instrIdx >= run.desc().warpInstrPerTb) {
-                finishWarp(warp_slot, now);
-            } else {
-                generateNext(w, run);
-                scheduleWake(warp_slot, ready_at, now);
-            }
+            retireInstr(warp_slot, now + 4, now); // store-buffer latency
         }
         break;
       }
@@ -601,6 +584,156 @@ SmCore::storeThrottled(Cycle now) const
         static_cast<double>(now)) > storeThrottleBacklog;
 }
 
+std::uint64_t
+SmCore::candidates(const SchedulerState &sc, std::uint32_t allowed,
+                   std::uint32_t mshr_ok,
+                   std::uint64_t &mshr_block) const
+{
+    std::uint64_t allow_mask = 0;
+    mshr_block = 0;
+    int nk = static_cast<int>(runs_.size());
+    for (int k = 0; k < nk; ++k) {
+        if (allowed & (1u << k))
+            allow_mask |= sc.kernelMask[k];
+        if (!(mshr_ok & (1u << k)))
+            mshr_block |= sc.kernelMask[k];
+    }
+    return sc.ready & allow_mask;
+}
+
+std::uint64_t
+SmCore::issuable(const SchedulerState &sc, std::uint64_t cand,
+                 std::uint64_t mshr_block, bool lsu_free,
+                 bool store_blocked) const
+{
+    if (!lsu_free)
+        return cand & ~(sc.loadMask | sc.storeMask);
+    cand &= ~(mshrFree_ > 0 ? sc.loadMask & mshr_block : sc.loadMask);
+    if (store_blocked)
+        cand &= ~sc.storeMask;
+    return cand;
+}
+
+void
+SmCore::readyFacts(std::uint32_t &ready, std::uint32_t &nonmem) const
+{
+    ready = 0;
+    nonmem = 0;
+    int nk = static_cast<int>(runs_.size());
+    for (int s = 0; s < numScheds_; ++s) {
+        const SchedulerState &sc = scheds_[s];
+        std::uint64_t mem_mask = sc.loadMask | sc.storeMask;
+        for (int k = 0; k < nk; ++k) {
+            std::uint64_t r = sc.ready & sc.kernelMask[k];
+            if (r)
+                ready |= 1u << k;
+            if (r & ~mem_mask)
+                nonmem |= 1u << k;
+        }
+    }
+}
+
+void
+SmCore::attribute(std::uint32_t issued, std::uint32_t allowed,
+                  std::uint32_t ready, std::uint32_t nonmem,
+                  Cycle span)
+{
+    // Exactly one category per bound kernel per cycle keeps the
+    // conservation invariant (sum == stats_.cycles) structural.
+    int nk = static_cast<int>(runs_.size());
+    for (int k = 0; k < nk; ++k) {
+        CycleCat cat = (issued & (1u << k))
+            ? CycleCat::Issued
+            : classifyStalled(k, allowed, (ready >> k) & 1,
+                              (nonmem >> k) & 1);
+        kernels_[k].breakdown.add(cat, span);
+    }
+}
+
+void
+SmCore::addGatedCycles(std::uint32_t allowed, Cycle span)
+{
+    // Track the fraction of time each kernel spends quota-gated;
+    // the static allocator uses it to estimate a throttled kernel's
+    // true capability.
+    epochCycles_ += span;
+    if (!quotaGating_)
+        return;
+    int nk = static_cast<int>(runs_.size());
+    for (int k = 0; k < nk; ++k) {
+        if (!(allowed & (1u << k)) && kernels_[k].residentTbs > 0)
+            kernels_[k].stats.gatedCycles += span;
+    }
+}
+
+void
+SmCore::sampleIdleWarps(std::uint32_t allowed, bool lsu_full,
+                        bool store_blocked, Cycle samples)
+{
+    // Idle warps: ready but not issued this cycle. Warps whose next
+    // instruction is blocked on a saturated LSU / empty MSHR pool
+    // are *not* idle TLP -- they feed memory-level parallelism --
+    // so they are excluded for kernels that are allowed to issue.
+    // For a quota-gated kernel every ready warp counts: that is
+    // exactly the idle capacity the static allocator may donate
+    // (Section 3.6 victim condition 2).
+    int nk = static_cast<int>(runs_.size());
+    for (int s = 0; s < numScheds_; ++s) {
+        const SchedulerState &sc = scheds_[s];
+        std::uint64_t blocked_cls = sc.loadMask | sc.storeMask;
+        if (!lsu_full) {
+            blocked_cls = 0;
+            if (mshrFree_ <= 0)
+                blocked_cls |= sc.loadMask;
+            if (store_blocked)
+                blocked_cls |= sc.storeMask;
+        }
+        for (int k = 0; k < nk; ++k) {
+            std::uint64_t ready_k = sc.ready & sc.kernelMask[k];
+            std::uint64_t idle = (allowed & (1u << k))
+                ? ready_k & ~blocked_cls
+                : ready_k;
+            kernels_[k].stats.iwSampleSum +=
+                static_cast<std::uint64_t>(popCount(idle)) * samples;
+        }
+    }
+    for (int k = 0; k < nk; ++k)
+        kernels_[k].stats.iwSamples +=
+            static_cast<std::uint32_t>(samples);
+}
+
+Cycle
+SmCore::eventBound(Cycle at, bool load_blocked,
+                   bool store_blocked) const
+{
+    // Every ready warp is blocked; the block lifts at an MSHR
+    // release or once the icnt backlog decays below the store
+    // threshold. Both are also sampling inputs (blocked_cls), so a
+    // skip must stop exactly there. A release due by @p at forces a
+    // step even with no blocked load: the pop mutates the MSHR pool.
+    Cycle next = cycleNever;
+    if (!mshrRelease_.empty() &&
+        (load_blocked || mshrRelease_.top().first <= at)) {
+        next = mshrRelease_.top().first;
+    } else if (load_blocked) {
+        next = at; // empty queue: unreachable, but never over-skip
+    }
+    if (store_blocked) {
+        next = std::min(next, mem_->interconnect().unblockCycle(
+                                  storeThrottleBacklog));
+    }
+    for (const Drain &d : drains_)
+        next = std::min(next, d.finishAt);
+    // Never skip across a nonempty wake bucket: every live bit is
+    // for one absolute cycle less than one revolution ahead, so the
+    // first nonempty bucket in ring order from @p at is the next
+    // wake (stale bits only make this conservative).
+    next = std::min(next, nextWakeFrom(at));
+    // Anything already due (a wake, drain or release nextEventAt()
+    // finds unprocessed) means "step at @p at".
+    return std::max(next, at);
+}
+
 bool
 SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
 {
@@ -615,20 +748,9 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
         mshrRelease_.pop();
     }
 
-    int nk = static_cast<int>(runs_.size());
     std::uint32_t allowed = allowedKernelMask();
     std::uint32_t mshr_ok = mshrOkKernelMask();
     bool store_blocked = storeThrottled(now);
-
-    int lsu_used = 0;
-    bool any_issue = false;
-    // Blocked-candidate facts for the free next-event bound below.
-    // Only meaningful when nothing issued (then lsu_used stayed 0
-    // for every scheduler, making the masking identical to the
-    // read-only replay in nextEventAt()).
-    bool blocked_load = false;
-    bool blocked_store = false;
-    bool pick_declined = false;
 
     // Attribution snapshot: the issue loop consumes scheduler bits
     // (clearSchedBits / freeTb), so the per-kernel ready facts must
@@ -636,19 +758,17 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
     std::uint32_t acct_ready = 0;
     std::uint32_t acct_nonmem = 0;
     std::uint32_t issued_kernels = 0;
-    if (accounting_) {
-        for (int s = 0; s < numScheds_; ++s) {
-            const SchedulerState &sc = scheds_[s];
-            std::uint64_t mem_mask = sc.loadMask | sc.storeMask;
-            for (int k = 0; k < nk; ++k) {
-                std::uint64_t r = sc.ready & sc.kernelMask[k];
-                if (r)
-                    acct_ready |= 1u << k;
-                if (r & ~mem_mask)
-                    acct_nonmem |= 1u << k;
-            }
-        }
-    }
+    if (accounting_)
+        readyFacts(acct_ready, acct_nonmem);
+
+    int lsu_used = 0;
+    bool any_issue = false;
+    // Blocked-candidate facts for the next-event bound below. Only
+    // used when nothing issued: then lsu_used stayed 0 for every
+    // scheduler, so they are exactly what nextEventAt() derives.
+    bool blocked_load = false;
+    bool blocked_store = false;
+    bool pick_declined = false;
 
     int first = static_cast<int>(now % numScheds_);
     for (int i = 0; i < numScheds_; ++i) {
@@ -657,36 +777,17 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
             s -= numScheds_;
         SchedulerState &sc = scheds_[s];
 
-        std::uint64_t allow_mask = 0;
         std::uint64_t mshr_block = 0;
-        for (int k = 0; k < nk; ++k) {
-            if (allowed & (1u << k))
-                allow_mask |= sc.kernelMask[k];
-            if (!(mshr_ok & (1u << k)))
-                mshr_block |= sc.kernelMask[k];
-        }
-        std::uint64_t cand_pre = sc.ready & allow_mask;
-        std::uint64_t cand = cand_pre;
-        if (lsu_used >= lsuPorts_) {
-            cand &= ~(sc.loadMask | sc.storeMask);
-        } else {
-            if (mshrFree_ <= 0)
-                cand &= ~sc.loadMask;
-            else
-                cand &= ~(sc.loadMask & mshr_block);
-            if (store_blocked)
-                cand &= ~sc.storeMask;
-        }
+        std::uint64_t cand_pre =
+            candidates(sc, allowed, mshr_ok, mshr_block);
+        std::uint64_t cand = issuable(sc, cand_pre, mshr_block,
+                                      lsu_used < lsuPorts_,
+                                      store_blocked);
         if (!cand) {
-            if (next_event) {
-                // cand empty with candidates present means every
-                // one was a masked load (MSHRs) or store (icnt
-                // throttle): only those maskings can empty it.
-                if (cand_pre & sc.loadMask)
-                    blocked_load = true;
-                if (cand_pre & sc.storeMask)
-                    blocked_store = true;
-            }
+            // Candidates present but none issuable means every one
+            // was a masked load (MSHRs) or store (icnt throttle).
+            blocked_load |= (cand_pre & sc.loadMask) != 0;
+            blocked_store |= (cand_pre & sc.storeMask) != 0;
             sc.lastIssued = -1;
             continue;
         }
@@ -719,102 +820,24 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
         stats_.activeCycles++;
 
     if (!any_issue && next_event) {
-        // Same bound nextEventAt(now + 1) would derive, but from
-        // the arbitration facts this cycle already computed. A
-        // declined pick is the one case the replay cannot see, so
-        // it conservatively forces a step next cycle.
-        Cycle next = cycleNever;
-        if (pick_declined) {
-            next = now + 1;
-        } else {
-            // A release due next cycle forces a step even with no
-            // blocked load (nextEventAt's "already due" check at
-            // now + 1): the pop mutates the MSHR pool.
-            if (!mshrRelease_.empty() &&
-                (blocked_load ||
-                 mshrRelease_.top().first <= now + 1)) {
-                next = std::min(next, mshrRelease_.top().first);
-            } else if (blocked_load) {
-                next = now + 1; // empty queue: never over-skip
-            }
-            if (blocked_store) {
-                next = std::min(
-                    next, mem_->interconnect().unblockCycle(
-                              storeThrottleBacklog));
-            }
-        }
-        for (const Drain &d : drains_)
-            next = std::min(next, d.finishAt);
-        next = std::min(next, nextWakeAfter(now));
-        *next_event = next;
+        // A declined pick is the one case nextEventAt() cannot see,
+        // so it conservatively forces a step next cycle.
+        *next_event = pick_declined
+            ? now + 1
+            : eventBound(now + 1, blocked_load, blocked_store);
     }
 
-    // Track the fraction of time each kernel spends quota-gated;
-    // the static allocator uses it to estimate a throttled kernel's
-    // true capability.
-    epochCycles_++;
-    if (quotaGating_) {
-        for (int k = 0; k < nk; ++k) {
-            if (!(allowed & (1u << k)) &&
-                kernels_[k].residentTbs > 0) {
-                kernels_[k].stats.gatedCycles++;
-            }
-        }
-    }
+    addGatedCycles(allowed, 1);
 
-    if (accounting_) {
-        // Exactly one category per bound kernel per cycle keeps the
-        // conservation invariant (sum == stats_.cycles) structural.
-        // residentTbs/drainingTbs of a non-issuing kernel are
-        // unchanged by the issue loop, so post-loop reads match the
-        // pre-arbitration state the snapshot captured.
-        for (int k = 0; k < nk; ++k) {
-            CycleCat cat = (issued_kernels & (1u << k))
-                ? CycleCat::Issued
-                : classifyStalled(k, allowed,
-                                  (acct_ready >> k) & 1,
-                                  (acct_nonmem >> k) & 1);
-            kernels_[k].breakdown.add(cat, 1);
-            // A deferred inert cycle replays the classification of
-            // the no-issue cycle that froze the state.
-            if (!any_issue)
-                inertClass_[k] = cat;
-        }
-    }
+    // residentTbs/drainingTbs of a non-issuing kernel are unchanged
+    // by the issue loop, so post-loop reads match the
+    // pre-arbitration state the snapshot captured.
+    if (accounting_)
+        attribute(issued_kernels, allowed, acct_ready, acct_nonmem, 1);
 
-    if (sample_iw) {
-        // Idle warps: ready but not issued this cycle. Warps whose
-        // next instruction is blocked on a saturated LSU / empty
-        // MSHR pool are *not* idle TLP -- they feed memory-level
-        // parallelism -- so they are excluded for kernels that are
-        // allowed to issue. For a quota-gated kernel every ready
-        // warp counts: that is exactly the idle capacity the static
-        // allocator may donate (Section 3.6 victim condition 2).
-        std::uint64_t blocked_cls = 0;
-        bool lsu_full = lsu_used >= lsuPorts_;
-        for (int s = 0; s < numScheds_; ++s) {
-            const SchedulerState &sc = scheds_[s];
-            std::uint64_t mem_mask = sc.loadMask | sc.storeMask;
-            if (lsu_full) {
-                blocked_cls = mem_mask;
-            } else {
-                blocked_cls = 0;
-                if (mshrFree_ <= 0)
-                    blocked_cls |= sc.loadMask;
-                if (store_blocked)
-                    blocked_cls |= sc.storeMask;
-            }
-            for (int k = 0; k < nk; ++k) {
-                std::uint64_t ready_k = sc.ready & sc.kernelMask[k];
-                std::uint64_t idle = (allowed & (1u << k))
-                    ? ready_k & ~blocked_cls
-                    : ready_k;
-                kernels_[k].stats.iwSampleSum += popCount(idle);
-            }
-        }
-        for (int k = 0; k < nk; ++k)
-            kernels_[k].stats.iwSamples++;
-    }
+    if (sample_iw)
+        sampleIdleWarps(allowed, lsu_used >= lsuPorts_, store_blocked,
+                        1);
     return any_issue;
 }
 
@@ -823,17 +846,16 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
 // ---------------------------------------------------------------
 
 /**
- * First nonempty wake bucket strictly after @p now, or cycleNever.
+ * First nonempty wake bucket at or after @p at, or cycleNever.
  * Word-at-a-time scan over the occupancy bitmap; the wrap
  * iteration (i == nwords) re-visits the start word's low bits,
  * which map to the far end of the ring revolution.
  */
 Cycle
-SmCore::nextWakeAfter(Cycle now) const
+SmCore::nextWakeFrom(Cycle at) const
 {
     constexpr int nwords = wakeRingSize_ / 64;
-    const int start =
-        static_cast<int>((now + 1) & (wakeRingSize_ - 1));
+    const int start = static_cast<int>(at & (wakeRingSize_ - 1));
     int wi = start >> 6;
     std::uint64_t word =
         wakeBits_[wi] & (~std::uint64_t{0} << (start & 63));
@@ -843,9 +865,8 @@ SmCore::nextWakeAfter(Cycle now) const
                    ~(~std::uint64_t{0} << (start & 63));
         if (word) {
             int idx = (wi << 6) + std::countr_zero(word);
-            return now + 1 +
-                   static_cast<Cycle>(
-                       (idx - start) & (wakeRingSize_ - 1));
+            return at + static_cast<Cycle>(
+                            (idx - start) & (wakeRingSize_ - 1));
         }
         wi = (wi + 1) & (nwords - 1);
         word = wakeBits_[wi];
@@ -856,77 +877,25 @@ SmCore::nextWakeAfter(Cycle now) const
 Cycle
 SmCore::nextEventAt(Cycle now) const
 {
-    // Anything already due forces a real cycle.
-    if (!mshrRelease_.empty() && mshrRelease_.top().first <= now)
-        return now;
-    Cycle next = cycleNever;
-    for (const Drain &d : drains_) {
-        if (d.finishAt <= now)
-            return now;
-        next = std::min(next, d.finishAt);
-    }
-    std::size_t due = now & (wakeRingSize_ - 1);
-    if (wakeBits_[due >> 6] & (std::uint64_t{1} << (due & 63)))
-        return now;
-
     // Replay the issue arbitration read-only: if any scheduler has
     // an issuable candidate the SM must step. The LSU port is free
     // (nothing issued yet), so only MSHR credits and the store
     // throttle can block a ready memory warp.
-    int nk = static_cast<int>(runs_.size());
     std::uint32_t allowed = allowedKernelMask();
     std::uint32_t mshr_ok = mshrOkKernelMask();
     bool store_blocked = storeThrottled(now);
-    bool load_blocked = false;
+    bool load_waiting = false;
     bool store_waiting = false;
     for (int s = 0; s < numScheds_; ++s) {
         const SchedulerState &sc = scheds_[s];
-        std::uint64_t allow_mask = 0;
         std::uint64_t mshr_block = 0;
-        for (int k = 0; k < nk; ++k) {
-            if (allowed & (1u << k))
-                allow_mask |= sc.kernelMask[k];
-            if (!(mshr_ok & (1u << k)))
-                mshr_block |= sc.kernelMask[k];
-        }
-        std::uint64_t cand = sc.ready & allow_mask;
-        if (!cand)
-            continue;
-        std::uint64_t load_cand = cand & sc.loadMask;
-        std::uint64_t store_cand = cand & sc.storeMask;
-        std::uint64_t issuable = cand & ~(sc.loadMask | sc.storeMask);
-        if (mshrFree_ > 0)
-            issuable |= load_cand & ~mshr_block;
-        if (!store_blocked)
-            issuable |= store_cand;
-        if (issuable)
+        std::uint64_t cand = candidates(sc, allowed, mshr_ok, mshr_block);
+        if (issuable(sc, cand, mshr_block, true, store_blocked))
             return now;
-        if (load_cand)
-            load_blocked = true;
-        if (store_cand)
-            store_waiting = true;
+        load_waiting |= (cand & sc.loadMask) != 0;
+        store_waiting |= (cand & sc.storeMask) != 0;
     }
-
-    // Every ready warp is blocked; the block lifts at an MSHR
-    // release or once the icnt backlog decays below the store
-    // threshold. Both are also sampling inputs (blocked_cls), so
-    // the skip must stop exactly there.
-    if (load_blocked) {
-        if (mshrRelease_.empty())
-            return now; // unreachable, but never over-skip
-        next = std::min(next, mshrRelease_.top().first);
-    }
-    if (store_waiting) {
-        next = std::min(next, mem_->interconnect().unblockCycle(
-                                  storeThrottleBacklog));
-    }
-
-    // Never skip across a nonempty wake bucket: every live bit is
-    // for one absolute cycle less than one revolution ahead, so the
-    // first nonempty bucket in ring order starting at now + 1 is the
-    // next wake (stale bits only make this conservative).
-    next = std::min(next, nextWakeAfter(now));
-    return next;
+    return eventBound(now, load_waiting, store_waiting);
 }
 
 CycleCat
@@ -954,114 +923,44 @@ SmCore::classifyStalled(int k, std::uint32_t allowed, bool any_ready,
 }
 
 void
-SmCore::classifyInert()
-{
-    int nk = static_cast<int>(runs_.size());
-    std::uint32_t acct_ready = 0;
-    std::uint32_t acct_nonmem = 0;
-    for (int s = 0; s < numScheds_; ++s) {
-        const SchedulerState &sc = scheds_[s];
-        std::uint64_t mem_mask = sc.loadMask | sc.storeMask;
-        for (int k = 0; k < nk; ++k) {
-            std::uint64_t r = sc.ready & sc.kernelMask[k];
-            if (r)
-                acct_ready |= 1u << k;
-            if (r & ~mem_mask)
-                acct_nonmem |= 1u << k;
-        }
-    }
-    std::uint32_t allowed = allowedKernelMask();
-    for (int k = 0; k < nk; ++k) {
-        inertClass_[k] = classifyStalled(k, allowed,
-                                         (acct_ready >> k) & 1,
-                                         (acct_nonmem >> k) & 1);
-    }
-}
-
-void
 SmCore::applyInertSpan(Cycle span)
 {
     stats_.cycles += span;
-    epochCycles_ += span;
     // The reference loop resets every scheduler's greedy hint on a
     // no-candidate cycle; every skipped cycle is one.
     for (int s = 0; s < numScheds_; ++s)
         scheds_[s].lastIssued = -1;
-
-    if (quotaGating_) {
-        int nk = static_cast<int>(runs_.size());
-        std::uint32_t allowed = allowedKernelMask();
-        for (int k = 0; k < nk; ++k) {
-            if (!(allowed & (1u << k)) &&
-                kernels_[k].residentTbs > 0) {
-                kernels_[k].stats.gatedCycles += span;
-            }
-        }
-    }
-
+    std::uint32_t allowed = allowedKernelMask();
+    addGatedCycles(allowed, span);
     if (accounting_) {
         // Every classification input (ready/instr masks, residency,
-        // drains, quota gating, MSHR credits, store throttle) is
-        // frozen across an inert span — nextEventAt() stops a skip
-        // at the first cycle any of them could change — so each
-        // skipped cycle classifies exactly as the per-cycle engine
-        // would have.
-        int nk = static_cast<int>(runs_.size());
-        for (int k = 0; k < nk; ++k)
-            kernels_[k].breakdown.add(inertClass_[k], span);
+        // drains, quota gating) is frozen across an inert span, and
+        // every mutator settles before it mutates, so the state
+        // classified here is the one each skipped cycle would have
+        // classified.
+        std::uint32_t ready = 0;
+        std::uint32_t nonmem = 0;
+        readyFacts(ready, nonmem);
+        attribute(0, allowed, ready, nonmem, span);
     }
-}
-
-void
-SmCore::settleDeferred()
-{
-    Cycle span = deferredInert_;
-    deferredInert_ = 0;
-    applyInertSpan(span);
 }
 
 void
 SmCore::skipCycles(Cycle now, Cycle span, Cycle samples)
 {
     gqos_assert(span >= 1);
+    // Any owed deferred cycles saw the same frozen state as this
+    // span, so one settlement accounts both.
+    deferredInert_ += span;
     settle();
-    // Direct skips (Gpu::run / skipTo without a prior no-issue
-    // cycle()) have no valid inertClass_ cache; recompute it from
-    // the frozen state.
-    if (accounting_)
-        classifyInert();
-    applyInertSpan(span);
-
-    if (samples == 0)
-        return;
-    int nk = static_cast<int>(runs_.size());
-    std::uint32_t allowed = allowedKernelMask();
-    // Idle-warp samples: every sampling input (ready/load/store
-    // masks, quota gating, MSHR credits, store throttle) is frozen
-    // across an inert span -- nextEventAt() stops a skip at the
-    // first cycle where any of them could change -- so each sample
-    // in the span contributes the same value. The LSU is never full
-    // on a no-issue cycle.
-    bool store_blocked = storeThrottled(now);
-    for (int s = 0; s < numScheds_; ++s) {
-        const SchedulerState &sc = scheds_[s];
-        std::uint64_t blocked_cls = 0;
-        if (mshrFree_ <= 0)
-            blocked_cls |= sc.loadMask;
-        if (store_blocked)
-            blocked_cls |= sc.storeMask;
-        for (int k = 0; k < nk; ++k) {
-            std::uint64_t ready_k = sc.ready & sc.kernelMask[k];
-            std::uint64_t idle = (allowed & (1u << k))
-                ? ready_k & ~blocked_cls
-                : ready_k;
-            kernels_[k].stats.iwSampleSum +=
-                static_cast<std::uint64_t>(popCount(idle)) * samples;
-        }
-    }
-    for (int k = 0; k < nk; ++k)
-        kernels_[k].stats.iwSamples +=
-            static_cast<std::uint32_t>(samples);
+    // Every sampling input (ready/load/store masks, quota gating,
+    // MSHR credits, store throttle) is frozen across an inert span
+    // -- nextEventAt() stops a skip at the first cycle where any of
+    // them could change -- so each sample in the span contributes
+    // the same value. The LSU is never full on a no-issue cycle.
+    if (samples > 0)
+        sampleIdleWarps(allowedKernelMask(), false,
+                        storeThrottled(now), samples);
 }
 
 // ---------------------------------------------------------------

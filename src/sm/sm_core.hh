@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "arch/gpu_config.hh"
@@ -119,9 +120,11 @@ class SmCore
      * Advance one core cycle.
      * @param sample_iw record an idle-warp sample this cycle
      * @param next_event when non-null and no instruction issued,
-     *        receives the same bound nextEventAt(now + 1) would
-     *        compute -- for free, from the arbitration state this
-     *        cycle already derived. Untouched when the SM issued.
+     *        receives nextEventAt(now + 1): the blocked-candidate
+     *        facts this cycle's arbitration already derived go
+     *        through the same eventBound() that nextEventAt() uses
+     *        (a declined scheduler pick yields now + 1). Untouched
+     *        when the SM issued.
      * @return true if any scheduler issued an instruction
      */
     bool cycle(Cycle now, bool sample_iw,
@@ -160,8 +163,9 @@ class SmCore
      * counters yet. The owed accounting is settled lazily -- every
      * statistics reader and every external mutator settles first,
      * so no observer ever sees a stale view, and the quota-gating
-     * mask is provably unchanged between deferral and settlement
-     * (any mask change goes through a settling mutator).
+     * mask and every attribution input are provably unchanged
+     * between deferral and settlement (any change to them goes
+     * through a settling mutator).
      */
     void deferInertCycle() { deferredInert_++; }
 
@@ -290,9 +294,36 @@ class SmCore
         return lane * numScheds_ + sched;
     }
 
-    /** Apply the counter side of an inert span (no samples). */
-    void applyInertSpan(Cycle span);
-    void settleDeferred();
+    // Decisions shared by cycle() and the skip path, so a skipped
+    // cycle is decided by the code a stepped one runs. The hot ones
+    // are inline (defined in sm_core.cc ahead of their callers): at
+    // -O2 GCC would otherwise leave them as calls on the per-cycle
+    // path.
+
+    /** Ready lanes the quota mask admits; lanes over the MSHR cap. */
+    inline std::uint64_t candidates(const SchedulerState &sc,
+                                    std::uint32_t allowed,
+                                    std::uint32_t mshr_ok,
+                                    std::uint64_t &mshr_block) const;
+    /** The candidates the LSU, MSHRs and store throttle let issue. */
+    inline std::uint64_t issuable(const SchedulerState &sc,
+                                  std::uint64_t cand,
+                                  std::uint64_t mshr_block,
+                                  bool lsu_free,
+                                  bool store_blocked) const;
+    /**
+     * Earliest cycle >= @p at at which a no-issue SM can change (a
+     * wake, drain, MSHR release or icnt unblock); @p at if due.
+     */
+    inline Cycle eventBound(Cycle at, bool load_blocked,
+                            bool store_blocked) const;
+    /** Kernels with a ready warp / a ready non-memory warp. */
+    inline void readyFacts(std::uint32_t &ready,
+                           std::uint32_t &nonmem) const;
+    /** Attribute @p span cycles to each kernel: Issued or stalled. */
+    inline void attribute(std::uint32_t issued, std::uint32_t allowed,
+                          std::uint32_t ready, std::uint32_t nonmem,
+                          Cycle span);
     /**
      * Attribution category of kernel @p k on a cycle where it did
      * not issue, from the facts the issue arbiter derived:
@@ -303,8 +334,12 @@ class SmCore
     CycleCat classifyStalled(int k, std::uint32_t allowed,
                              bool any_ready,
                              bool any_nonmem_ready) const;
-    /** Refresh inertClass_ from the current (frozen) state. */
-    void classifyInert();
+    inline void addGatedCycles(std::uint32_t allowed, Cycle span);
+    void sampleIdleWarps(std::uint32_t allowed, bool lsu_full,
+                         bool store_blocked, Cycle samples);
+
+    /** Apply the counter side of an inert span (no samples). */
+    void applyInertSpan(Cycle span);
     /**
      * Settle any deferred inert cycles. Logically const: it only
      * materializes accounting the SM already owes.
@@ -312,12 +347,14 @@ class SmCore
     void
     settle() const
     {
-        if (deferredInert_ > 0)
-            const_cast<SmCore *>(this)->settleDeferred();
+        if (deferredInert_ > 0) {
+            auto *self = const_cast<SmCore *>(this);
+            self->applyInertSpan(std::exchange(self->deferredInert_, 0));
+        }
     }
 
     void rebuildAgeOrder(int sched);
-    Cycle nextWakeAfter(Cycle now) const;
+    Cycle nextWakeFrom(Cycle at) const;
     std::uint32_t allowedKernelMask() const;
     std::uint32_t mshrOkKernelMask() const;
     bool storeThrottled(Cycle now) const;
@@ -329,9 +366,11 @@ class SmCore
     void refreshInstrMasks(int warp_slot);
     void generateNext(Warp &w, const KernelRun &run);
     void issueWarp(int warp_slot, Cycle now);
-    void retireInstr(Warp &w, KernelCtx &kc, Cycle ready_at);
-    void finishWarp(int warp_slot, Cycle now);
-    void freeTb(int tb_slot, TbExit exit, Cycle now);
+    /** Retire, then finish the warp or fetch its next instruction. */
+    inline void retireInstr(int warp_slot, Cycle ready_at, Cycle now);
+    inline void rearbitrate(int warp_slot, Cycle now);
+    void finishWarp(int warp_slot);
+    void freeTb(int tb_slot, TbExit exit);
     Addr genAddress(Warp &w, const PhaseRt &ph,
                     const KernelRun &run);
 
@@ -393,15 +432,6 @@ class SmCore
     std::vector<Drain> drains_;
     bool quotaGating_ = false;
     bool accounting_ = false; //!< cycle-attribution profiler on
-    /**
-     * Attribution cache for deferred inert cycles: the category of
-     * each kernel, written by the most recent no-issue cycle().
-     * Valid for every deferInertCycle() that follows, because the
-     * Gpu only defers under a mutVersion()-valid inertia cache
-     * (every external mutation settles first, then bumps the
-     * version), so the classified state is frozen until settlement.
-     */
-    std::array<CycleCat, maxKernels> inertClass_{};
     Cycle epochCycles_ = 0; //!< cycles since last sample reset
     std::uint64_t mutVersion_ = 0; //!< see mutVersion()
     Cycle deferredInert_ = 0; //!< see deferInertCycle()

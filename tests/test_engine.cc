@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hh"
 #include "engine/sim_engine.hh"
 #include "harness/runner.hh"
 #include "mem/mem_system.hh"
@@ -187,6 +188,60 @@ TEST_F(EngineSmFixture, SkipMatchesSteppingThroughGatedSpan)
     }
 }
 
+TEST_F(EngineSmFixture, InCycleBoundEqualsNextEventAt)
+{
+    // The bound a no-issue cycle() hands back and a fresh
+    // nextEventAt() probe of the next cycle must agree exactly,
+    // through memory-bound, compute, quota-gated and draining
+    // phases. The attribution profiler proves each phase was hit.
+    sm.setCycleAccounting(true);
+    sm.setQuotaGating(true);
+    std::uint64_t no_issue = 0;
+    auto step = [&](Cycle cycles) {
+        for (Cycle end = now + cycles; now < end; ++now) {
+            Cycle bound = 0;
+            if (sm.cycle(now, (now % 100) == 0, &bound))
+                continue;
+            no_issue++;
+            ASSERT_EQ(bound, sm.nextEventAt(now + 1))
+                << "cycle " << now;
+        }
+    };
+    auto set_quotas = [&](double q) {
+        sm.setQuota(0, q);
+        sm.setQuota(1, q);
+    };
+    set_quotas(1e9);
+    std::uint64_t seq = 0;
+    for (int i = 0; i < 6; ++i, ++seq)
+        sm.dispatchTb(1, seq, seq, now); // memory-bound
+    step(4000);
+    for (int i = 0; i < 4; ++i, ++seq)
+        sm.dispatchTb(0, seq, seq, now); // compute joins
+    step(4000);
+    set_quotas(-1.0); // every kernel quota-gated
+    step(3000);
+    set_quotas(1e9);
+    step(500);
+    ASSERT_TRUE(sm.startPreemption(0, now));
+    ASSERT_TRUE(sm.startPreemption(1, now));
+    step(3000);
+    // Evict every TB left, so the SM ends empty.
+    for (KernelId k : {0, 1}) {
+        while (sm.startPreemption(k, now))
+            continue;
+    }
+    step(8000);
+
+    EXPECT_GT(no_issue, 10000u);
+    const CycleBreakdown &m = sm.cycleBreakdown(1);
+    EXPECT_GT(m.at(CycleCat::MemStall), 0u);
+    EXPECT_GT(m.at(CycleCat::QuotaGated), 0u);
+    EXPECT_GT(m.at(CycleCat::DrainPreempt), 0u);
+    EXPECT_GT(sm.cycleBreakdown(0).at(CycleCat::Issued), 0u);
+    EXPECT_EQ(sm.totalResidentTbs(), 0);
+}
+
 // ---------------------------------------------------------------
 // Gpu-level control points.
 // ---------------------------------------------------------------
@@ -292,6 +347,33 @@ TEST(SimEngineTest, ResumableAcrossWarmupBoundary)
             gpu.threadInstrs(0), gpu.threadInstrs(1));
     };
     EXPECT_EQ(run_split(10000), run_split(25000));
+}
+
+TEST(SimEngineTest, ShortEpochMemoryWaitIsNotAStall)
+{
+    // A 100-cycle epoch is a valid config, but a 3000-cycle DRAM
+    // round trip retires nothing for longer than that: a window of
+    // one epoch would abort a healthy run, the floored one must not.
+    GpuConfig cfg = defaultConfig();
+    cfg.numSms = 2;
+    cfg.epochLength = 100;
+    cfg.dramLatency = 3000;
+    ASSERT_TRUE(cfg.check().ok());
+    EXPECT_EQ(SimEngine::epochStallWindow(cfg.epochLength),
+              SimEngine::minStallWindow);
+    EXPECT_EQ(SimEngine::epochStallWindow(50000), 50000u);
+    KernelDesc d = test::tinyMemoryKernel();
+    d.gridTbs = 400;
+    auto stalls = [&](Cycle window) {
+        Gpu gpu(cfg);
+        gpu.launch({&d});
+        EvenSharePolicy pol;
+        pol.onLaunch(gpu);
+        SimEngine engine(EngineKind::Event, window);
+        return engine.runUntil(gpu, pol, 60000);
+    };
+    EXPECT_TRUE(stalls(cfg.epochLength));
+    EXPECT_FALSE(stalls(SimEngine::epochStallWindow(cfg.epochLength)));
 }
 
 // ---------------------------------------------------------------
@@ -422,15 +504,16 @@ struct MachineRun
 };
 
 /**
- * Run one grid of each of @p descs under @p policy (kernel 0 the QoS
- * kernel, goal @p goal) on @p cfg for @p cycles, recording every
- * statistic the machine exposes plus SM-slice and policy telemetry.
- * Probes per-SM occupancy every 500 cycles.
+ * Run one grid of each of @p descs under @p policy with goals
+ * @p specs on @p cfg for @p cycles, recording every statistic the
+ * machine exposes plus SM-slice and policy telemetry. Probes per-SM
+ * occupancy every 500 cycles and checks that every kernel's cycle
+ * breakdown covers every SM cycle.
  */
 void
 runMachine(const GpuConfig &cfg, const std::vector<KernelDesc> &descs,
-           const std::string &policy, double goal, Cycle cycles,
-           EngineKind kind, MachineRun &out)
+           const std::string &policy, const std::vector<QosSpec> &specs,
+           Cycle cycles, EngineKind kind, MachineRun &out)
 {
     Gpu gpu(cfg);
     std::vector<const KernelDesc *> ptrs;
@@ -445,14 +528,12 @@ runMachine(const GpuConfig &cfg, const std::vector<KernelDesc> &descs,
                                   Cycle end) {
         out.trace.onSmSlice({"", sm, k, start, end});
     });
-    auto pol = makePolicy(policy,
-                          {QosSpec::qos(goal), QosSpec::nonQos()}, cfg)
-                   .value();
+    auto pol = makePolicy(policy, specs, cfg).value();
     pol->attachTelemetry(&out.trace, nullptr);
     pol->onLaunch(gpu);
     for (int k = 0; k < nk; ++k)
         gpu.startGrid(k);
-    SimEngine engine(kind, cfg.epochLength);
+    SimEngine engine(kind, SimEngine::epochStallWindow(cfg.epochLength));
     for (Cycle t = 500; t <= cycles; t += 500) {
         ASSERT_FALSE(engine.runUntil(gpu, *pol, t));
         for (int s = 0; s < gpu.numSms(); ++s) {
@@ -473,6 +554,7 @@ runMachine(const GpuConfig &cfg, const std::vector<KernelDesc> &descs,
                            ds.completedTbs, ds.preemptedTbs,
                            ds.gridsCompleted, ds.lastGridCompletedAt});
         CycleBreakdown b = gpu.cycleBreakdown(k);
+        EXPECT_EQ(b.total(), gpu.now() * gpu.numSms()) << "kernel " << k;
         c.insert(c.end(), b.counts.begin(), b.counts.end());
     }
     for (int s = 0; s < gpu.numSms(); ++s) {
@@ -491,6 +573,20 @@ runMachine(const GpuConfig &cfg, const std::vector<KernelDesc> &descs,
     c.insert(c.end(), {ms.l1Accesses, ms.l1Misses, ms.stores,
                        gpu.mem().totalL2Accesses(),
                        gpu.mem().totalDramAccesses()});
+}
+
+/** Both engines' runs agree on every counter and trace record. */
+void
+expectRunsIdentical(const MachineRun &ev, const MachineRun &ref)
+{
+    EXPECT_EQ(ev.counters, ref.counters);
+    EXPECT_EQ(ev.peakWarps, ref.peakWarps);
+    const std::vector<TraceRecord> &x = ev.trace.records();
+    const std::vector<TraceRecord> &y = ref.trace.records();
+    ASSERT_EQ(x.size(), y.size());
+    EXPECT_FALSE(x.empty());
+    for (std::size_t i = 0; i < x.size(); ++i)
+        EXPECT_TRUE(x[i] == y[i]) << "trace record " << i;
 }
 
 /**
@@ -522,19 +618,14 @@ expectMachineIdentical(const GpuConfig &cfg, int threads_per_tb,
         for (const char *policy : {"even", "rollover"}) {
             SCOPED_TRACE(descs[0].name + " mix, " + policy);
             MachineRun ev, ref;
-            runMachine(cfg, descs, policy, goal, cycles,
+            std::vector<QosSpec> specs = {QosSpec::qos(goal),
+                                          QosSpec::nonQos()};
+            runMachine(cfg, descs, policy, specs, cycles,
                        EngineKind::Event, ev);
-            runMachine(cfg, descs, policy, goal, cycles,
+            runMachine(cfg, descs, policy, specs, cycles,
                        EngineKind::Reference, ref);
-            EXPECT_EQ(ev.counters, ref.counters);
-            EXPECT_EQ(ev.peakWarps, ref.peakWarps);
+            expectRunsIdentical(ev, ref);
             EXPECT_GE(ev.peakWarps, min_peak_warps);
-            const std::vector<TraceRecord> &x = ev.trace.records();
-            const std::vector<TraceRecord> &y = ref.trace.records();
-            ASSERT_EQ(x.size(), y.size());
-            EXPECT_FALSE(x.empty());
-            for (std::size_t i = 0; i < x.size(); ++i)
-                EXPECT_TRUE(x[i] == y[i]) << "trace record " << i;
             if (std::string(policy) != "even")
                 continue;
             for (const KernelDispatchState &ds : ev.dispatch) {
@@ -571,6 +662,78 @@ TEST(EngineMachineDifferential, WakesBeyondOneWheelRevolution)
     cfg.dramLatency = 3000; // load completions > 1024 cycles ahead
     expectMachineIdentical(cfg, 128, 800000, 64);
 }
+
+// ---------------------------------------------------------------
+// Randomized differential: seeded machines, mixes and policies.
+// ---------------------------------------------------------------
+
+class RandomMachineDifferential
+    : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+/**
+ * One seed draws a machine GpuConfig::check() accepts, a mix of 1-4
+ * kernels varied from the tiny compute and memory kernels, and a
+ * policy; both engines must then agree on every counter, cycle
+ * breakdown and trace record.
+ */
+TEST_P(RandomMachineDifferential, EventMatchesReference)
+{
+    Rng rng(GetParam());
+    auto pick = [&rng](auto... options) {
+        const int values[] = {options...};
+        return values[rng.below(sizeof...(options))];
+    };
+    GpuConfig cfg = defaultConfig();
+    cfg.numSms = 1 + static_cast<int>(rng.below(4));
+    cfg.warpSchedulersPerSm = pick(1, 2, 4);
+    int warps_per_sched = pick(8, 16, 32, 48, 64);
+    cfg.maxThreadsPerSm =
+        cfg.warpSchedulersPerSm * warps_per_sched * warpSize;
+    cfg.regFileBytes =
+        std::max(cfg.regFileBytes, cfg.maxThreadsPerSm * 16 * 4);
+    cfg.schedPolicy = rng.below(2) ? SchedPolicy::Lrr : SchedPolicy::Gto;
+    cfg.l1Mshrs = pick(4, 8, 16, 32, 64);
+    cfg.lsuPortsPerSm = pick(1, 2);
+    cfg.epochLength = 100 + rng.below(9901);
+    cfg.dramLatency = 100 + static_cast<int>(rng.below(2901));
+    ASSERT_TRUE(cfg.check().ok());
+
+    const std::vector<std::string> policies = knownPolicies();
+    const std::string policy = policies[rng.below(policies.size())];
+    int nk = 1 + static_cast<int>(rng.below(4));
+    if (policy == "spart") // one SM per kernel at least
+        cfg.numSms = std::max(cfg.numSms, nk);
+    std::vector<KernelDesc> descs;
+    std::vector<QosSpec> specs;
+    for (int k = 0; k < nk; ++k) {
+        KernelDesc d = rng.below(2) ? test::tinyMemoryKernel()
+                                    : test::tinyComputeKernel();
+        d.name += "-" + std::to_string(k);
+        d.seed += 100 * k;
+        d.threadsPerTb = warpSize * pick(1, 2, 4, 8);
+        d.gridTbs = 4 + static_cast<int>(rng.below(45));
+        d.warpInstrPerTb = 40 + static_cast<int>(rng.below(400));
+        descs.push_back(d);
+        specs.push_back(k == 0 || rng.below(3) == 0
+                            ? QosSpec::qos(5.0 + rng.uniform() * 200.0)
+                            : QosSpec::nonQos());
+    }
+    Cycle cycles = 20000 + 500 * rng.below(81);
+
+    SCOPED_TRACE(cfg.summary() + ", " + std::to_string(nk) +
+                 " kernels, " + policy);
+    MachineRun ev, ref;
+    runMachine(cfg, descs, policy, specs, cycles, EngineKind::Event,
+               ev);
+    runMachine(cfg, descs, policy, specs, cycles,
+               EngineKind::Reference, ref);
+    expectRunsIdentical(ev, ref);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomMachineDifferential,
+                         ::testing::Range<std::uint64_t>(1, 25));
 
 } // anonymous namespace
 } // namespace gqos
