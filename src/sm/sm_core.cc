@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 #include <utility>
 
 #include "common/logging.hh"
@@ -43,6 +44,10 @@ SmCore::SmCore(const GpuConfig &cfg, SmId id, MemSystem &mem)
       mshrMax_(cfg.l1Mshrs),
       sfuLatency_(cfg.sfuLatency),
       drainCycles_(cfg.preemptDrainCycles),
+      schedMask_(std::has_single_bit(
+                     static_cast<unsigned>(cfg.warpSchedulersPerSm))
+                     ? cfg.warpSchedulersPerSm - 1
+                     : -1),
       chargePreemptTraffic_(cfg.chargePreemptTraffic),
       policy_(cfg.schedPolicy),
       mem_(&mem),
@@ -52,6 +57,7 @@ SmCore::SmCore(const GpuConfig &cfg, SmId id, MemSystem &mem)
       wakeWheel_(static_cast<std::size_t>(wakeRingSize_) *
                  cfg.warpSchedulersPerSm),
       wakeAt_(cfg.maxWarpsPerSm(), cycleNever),
+      farLanes_(cfg.warpSchedulersPerSm),
       mshrFree_(cfg.l1Mshrs)
 {
 }
@@ -63,6 +69,7 @@ SmCore::bindKernels(const std::vector<const KernelRun *> &runs)
     gqos_assert(totalResidentTbs() == 0);
     settle();
     mutVersion_++;
+    gatesDirty_ = true;
     runs_ = runs;
     for (auto &kc : kernels_)
         kc = KernelCtx();
@@ -102,6 +109,7 @@ SmCore::dispatchTb(KernelId k, std::uint64_t tb_seq,
         return false;
     settle();
     mutVersion_++;
+    gatesDirty_ = true;
     const KernelRun &run = *runs_[k];
     const KernelDesc &d = run.desc();
     int warps_needed = d.warpsPerTb();
@@ -143,11 +151,11 @@ SmCore::dispatchTb(KernelId k, std::uint64_t tb_seq,
             0xFFFFull;
         w.coldBase = run.coldBase() + (sid << 20);
         w.state = WarpState::Live;
-        generateNext(w, run);
+        generateNext(wslot);
         w.readyAt = now + tbDispatchLatency;
         SchedulerState &sc = scheds_[schedOf(wslot)];
         sc.kernelMask[k] = setBit(sc.kernelMask[k], laneOf(wslot));
-        scheduleWake(wslot, w.readyAt, now);
+        scheduleWake(wslot, now);
         found++;
     }
     gqos_assert(found == warps_needed);
@@ -186,9 +194,14 @@ SmCore::startPreemption(KernelId k, Cycle now)
     kernels_[k].drainingTbs++;
     for (int wslot : tb.warpSlots) {
         Warp &w = warps_[wslot];
-        if (w.state == WarpState::Live)
-            w.state = WarpState::Draining;
-        clearSchedBits(wslot);
+        if (w.state != WarpState::Live)
+            continue;
+        w.state = WarpState::Draining;
+        SchedulerState &sc = scheds_[schedOf(wslot)];
+        if (testBit(sc.ready, laneOf(wslot)))
+            sc.ready = clearBit(sc.ready, laneOf(wslot));
+        else
+            cancelWake(wslot);
     }
 
     Cycle finish = now + drainCycles_;
@@ -237,14 +250,13 @@ SmCore::freeTb(int tb_slot, TbExit exit)
     KernelCtx &kc = kernels_[k];
     const KernelDesc &d = kc.run->desc();
 
+    // Every warp is Finished or Draining: none is ready or waiting.
     for (int wslot : tb.warpSlots) {
-        Warp &w = warps_[wslot];
-        w.state = WarpState::Invalid;
-        wakeAt_[wslot] = cycleNever; // its wheel bits go stale
-        clearSchedBits(wslot);
+        warps_[wslot].state = WarpState::Invalid;
         SchedulerState &sc = scheds_[schedOf(wslot)];
         sc.kernelMask[k] = clearBit(sc.kernelMask[k], laneOf(wslot));
     }
+    gatesDirty_ = true;
     bool was_draining = tb.draining;
     tb.valid = false;
     tb.draining = false;
@@ -277,41 +289,62 @@ SmCore::freeTb(int tb_slot, TbExit exit)
 void
 SmCore::rebuildAgeOrder(int sched)
 {
-    SchedulerState &sc = scheds_[sched];
-    sc.ageCount = 0;
+    std::uint8_t order[64];
+    int count = 0;
     for (int lane = 0; lane < maxWarps_ / numScheds_; ++lane) {
         int slot = slotOf(sched, lane);
         if (warps_[slot].state != WarpState::Invalid)
-            sc.ageOrder[sc.ageCount++] =
-                static_cast<std::uint8_t>(lane);
+            order[count++] = static_cast<std::uint8_t>(lane);
     }
-    // Insertion sort by warp age (oldest first); ageCount <= 64 and
+    // Insertion sort by warp age (oldest first); count <= 64 and
     // rebuilds only happen on TB dispatch/free.
-    for (int i = 1; i < sc.ageCount; ++i) {
-        std::uint8_t lane = sc.ageOrder[i];
+    for (int i = 1; i < count; ++i) {
+        std::uint8_t lane = order[i];
         std::uint64_t a = warps_[slotOf(sched, lane)].age;
         int j = i - 1;
-        while (j >= 0 &&
-               warps_[slotOf(sched, sc.ageOrder[j])].age > a) {
-            sc.ageOrder[j + 1] = sc.ageOrder[j];
+        while (j >= 0 && warps_[slotOf(sched, order[j])].age > a) {
+            order[j + 1] = order[j];
             j--;
         }
-        sc.ageOrder[j + 1] = lane;
+        order[j + 1] = lane;
     }
+    setAgeOrder(scheds_[sched], order, count);
 }
 
 void
-SmCore::scheduleWake(int warp_slot, Cycle at, Cycle now)
+SmCore::scheduleWake(int warp_slot, Cycle now)
 {
     // Keep every wake inside one wheel revolution (and after the
-    // current cycle, whose bucket is already processed); a clamped
-    // wake finds readyAt > now and re-wakes further on.
-    at = std::clamp(at, now + 1, now + wakeRingSize_ - 1);
+    // current cycle, whose bucket is already processed). A wake
+    // clamped short of its readyAt is flagged far, so processWakes()
+    // re-checks it and wakes it again further on.
+    int sched = schedOf(warp_slot);
+    std::uint64_t lane_bit = std::uint64_t{1} << laneOf(warp_slot);
+    Cycle at = warps_[warp_slot].readyAt;
+    if (at >= now + wakeRingSize_) {
+        at = now + wakeRingSize_ - 1;
+        farLanes_[sched] |= lane_bit;
+    } else if (at <= now) {
+        at = now + 1;
+    }
     wakeAt_[warp_slot] = at;
     std::size_t idx = at & (wakeRingSize_ - 1);
-    wakeWheel_[idx * numScheds_ + schedOf(warp_slot)] |=
-        std::uint64_t{1} << laneOf(warp_slot);
+    wakeWheel_[idx * numScheds_ + sched] |= lane_bit;
     wakeBits_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+}
+
+void
+SmCore::cancelWake(int warp_slot)
+{
+    int sched = schedOf(warp_slot);
+    std::uint64_t lane_bit = std::uint64_t{1} << laneOf(warp_slot);
+    std::size_t idx = wakeAt_[warp_slot] & (wakeRingSize_ - 1);
+    std::uint64_t *words = &wakeWheel_[idx * numScheds_];
+    words[sched] &= ~lane_bit;
+    farLanes_[sched] &= ~lane_bit;
+    if (std::all_of(words, words + numScheds_,
+                    [](std::uint64_t w) { return w == 0; }))
+        wakeBits_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
 }
 
 void
@@ -328,54 +361,19 @@ SmCore::processWakes(Cycle now)
     std::uint64_t *words = &wakeWheel_[idx * numScheds_];
     for (int s = 0; s < numScheds_; ++s) {
         std::uint64_t lanes = std::exchange(words[s], 0);
-        for (; lanes; lanes &= lanes - 1) {
-            int slot = slotOf(s, std::countr_zero(lanes));
-            if (wakeAt_[slot] != now)
-                continue; // stale: rescheduled or TB freed
-            Warp &w = warps_[slot];
-            if (w.state != WarpState::Live)
-                continue;
-            if (w.readyAt <= now)
-                markReady(slot);
+        std::uint64_t far = lanes & farLanes_[s];
+        scheds_[s].ready |= lanes & ~far;
+        if (!far)
+            continue;
+        farLanes_[s] &= ~far;
+        for (; far; far &= far - 1) {
+            int lane = std::countr_zero(far);
+            int slot = slotOf(s, lane);
+            if (warps_[slot].readyAt <= now)
+                scheds_[s].ready = setBit(scheds_[s].ready, lane);
             else
-                scheduleWake(slot, w.readyAt, now);
+                scheduleWake(slot, now);
         }
-    }
-}
-
-void
-SmCore::markReady(int warp_slot)
-{
-    SchedulerState &sc = scheds_[schedOf(warp_slot)];
-    sc.ready = setBit(sc.ready, laneOf(warp_slot));
-    refreshInstrMasks(warp_slot);
-}
-
-void
-SmCore::clearSchedBits(int warp_slot)
-{
-    SchedulerState &sc = scheds_[schedOf(warp_slot)];
-    int lane = laneOf(warp_slot);
-    sc.ready = clearBit(sc.ready, lane);
-    sc.loadMask = clearBit(sc.loadMask, lane);
-    sc.storeMask = clearBit(sc.storeMask, lane);
-}
-
-void
-SmCore::refreshInstrMasks(int warp_slot)
-{
-    SchedulerState &sc = scheds_[schedOf(warp_slot)];
-    int lane = laneOf(warp_slot);
-    const Warp &w = warps_[warp_slot];
-    if (w.next.cls == InstrClass::GlobalLoad) {
-        sc.loadMask = setBit(sc.loadMask, lane);
-        sc.storeMask = clearBit(sc.storeMask, lane);
-    } else if (w.next.cls == InstrClass::GlobalStore) {
-        sc.storeMask = setBit(sc.storeMask, lane);
-        sc.loadMask = clearBit(sc.loadMask, lane);
-    } else {
-        sc.loadMask = clearBit(sc.loadMask, lane);
-        sc.storeMask = clearBit(sc.storeMask, lane);
     }
 }
 
@@ -384,8 +382,10 @@ SmCore::refreshInstrMasks(int warp_slot)
 // ---------------------------------------------------------------
 
 void
-SmCore::generateNext(Warp &w, const KernelRun &run)
+SmCore::generateNext(int warp_slot)
 {
+    Warp &w = warps_[warp_slot];
+    const KernelRun &run = *kernels_[w.kernel].run;
     while (w.phaseIdx + 1 < run.numPhases() &&
            w.instrIdx >= run.phaseEnd(w.phaseIdx)) {
         w.phaseIdx++;
@@ -420,6 +420,12 @@ SmCore::generateNext(Warp &w, const KernelRun &run)
             ph.aluLatency * w.intensity + 0.5f);
     }
     w.next = ni;
+    SchedulerState &sc = scheds_[schedOf(warp_slot)];
+    std::uint64_t lane_bit = std::uint64_t{1} << laneOf(warp_slot);
+    sc.loadMask = ni.cls == InstrClass::GlobalLoad
+        ? sc.loadMask | lane_bit : sc.loadMask & ~lane_bit;
+    sc.storeMask = ni.cls == InstrClass::GlobalStore
+        ? sc.storeMask | lane_bit : sc.storeMask & ~lane_bit;
 }
 
 Addr
@@ -440,15 +446,19 @@ SmCore::retireInstr(int warp_slot, Cycle ready_at, Cycle now)
     KernelCtx &kc = kernels_[w.kernel];
     kc.stats.threadInstrs += w.next.lanes;
     kc.stats.warpInstrs++;
-    if (quotaGating_)
+    if (quotaGating_) {
+        bool had_quota = kc.quota > 0.0;
         kc.quota -= w.next.lanes;
+        if (had_quota && kc.quota <= 0.0)
+            gatesDirty_ = true;
+    }
     w.instrIdx++;
     w.readyAt = ready_at;
     if (w.instrIdx >= kc.run->desc().warpInstrPerTb) {
         finishWarp(warp_slot);
     } else {
-        generateNext(w, *kc.run);
-        scheduleWake(warp_slot, ready_at, now);
+        generateNext(warp_slot);
+        scheduleWake(warp_slot, now);
     }
 }
 
@@ -458,7 +468,7 @@ SmCore::rearbitrate(int warp_slot, Cycle now)
     // Replay: the remaining transactions re-arbitrate for the LSU
     // next cycle (access-splitting, as in GPGPU-Sim).
     warps_[warp_slot].readyAt = now + 1;
-    scheduleWake(warp_slot, now + 1, now);
+    scheduleWake(warp_slot, now);
 }
 
 void
@@ -466,7 +476,6 @@ SmCore::finishWarp(int warp_slot)
 {
     Warp &w = warps_[warp_slot];
     w.state = WarpState::Finished;
-    clearSchedBits(warp_slot);
     TbSlot &tb = tbs_[w.tbSlot];
     tb.warpsFinished++;
     if (tb.warpsFinished == tb.warpsTotal && !tb.draining)
@@ -479,7 +488,6 @@ SmCore::issueWarp(int warp_slot, Cycle now)
     Warp &w = warps_[warp_slot];
     KernelCtx &kc = kernels_[w.kernel];
     const KernelRun &run = *kc.run;
-    clearSchedBits(warp_slot);
 
     switch (w.next.cls) {
       case InstrClass::Alu:
@@ -503,7 +511,8 @@ SmCore::issueWarp(int warp_slot, Cycle now)
             MemAccess acc = mem_->load(id_, w.kernel, addr, now);
             if (acc.l1Miss) {
                 mshrFree_--;
-                kc.mshrHeld++;
+                if (++kc.mshrHeld == mshrCap_)
+                    gatesDirty_ = true;
                 mshrRelease_.emplace(acc.readyAt, w.kernel);
             }
             if (acc.readyAt > w.memDoneAt)
@@ -542,39 +551,44 @@ SmCore::issueWarp(int warp_slot, Cycle now)
     }
 }
 
-std::uint32_t
-SmCore::allowedKernelMask() const
+void
+SmCore::recomputeGates()
 {
-    // Kernels eligible under EWS quota gating this cycle.
-    std::uint32_t allowed = 0;
+    gatesDirty_ = false;
     int nk = static_cast<int>(runs_.size());
-    for (int k = 0; k < nk; ++k) {
-        if (!quotaGating_ || kernels_[k].quota > 0.0)
-            allowed |= 1u << k;
-    }
-    return allowed;
-}
-
-std::uint32_t
-SmCore::mshrOkKernelMask() const
-{
     // Per-kernel MSHR cap: leave a few credits reachable for every
     // co-resident kernel so memory-intensive sharers cannot starve
-    // the others' loads.
-    int nk = static_cast<int>(runs_.size());
+    // the others' loads. At least one: on a small pool shared by
+    // many kernels a cap of zero would block every load forever.
     int resident_kernels = 0;
     for (int k = 0; k < nk; ++k) {
         if (kernels_[k].residentTbs > 0)
             resident_kernels++;
     }
-    int mshr_cap = mshrMax_ -
-        mshrReserve * std::max(0, resident_kernels - 1);
-    std::uint32_t mshr_ok = 0;
+    mshrCap_ = std::max(1, mshrMax_ - mshrReserve *
+                               std::max(0, resident_kernels - 1));
+    allowedKernels_ = 0;
+    gatedKernels_ = 0;
+    std::uint32_t mshr_full = 0;
     for (int k = 0; k < nk; ++k) {
-        if (kernels_[k].mshrHeld < mshr_cap)
-            mshr_ok |= 1u << k;
+        const KernelCtx &kc = kernels_[k];
+        if (!quotaGating_ || kc.quota > 0.0)
+            allowedKernels_ |= 1u << k;
+        else if (kc.residentTbs > 0)
+            gatedKernels_ |= 1u << k;
+        if (kc.mshrHeld >= mshrCap_)
+            mshr_full |= 1u << k;
     }
-    return mshr_ok;
+    for (SchedulerState &sc : scheds_) {
+        sc.allowed = 0;
+        sc.mshrBlocked = 0;
+        for (int k = 0; k < nk; ++k) {
+            if (allowedKernels_ & (1u << k))
+                sc.allowed |= sc.kernelMask[k];
+            if (mshr_full & (1u << k))
+                sc.mshrBlocked |= sc.kernelMask[k];
+        }
+    }
 }
 
 bool
@@ -585,30 +599,13 @@ SmCore::storeThrottled(Cycle now) const
 }
 
 std::uint64_t
-SmCore::candidates(const SchedulerState &sc, std::uint32_t allowed,
-                   std::uint32_t mshr_ok,
-                   std::uint64_t &mshr_block) const
-{
-    std::uint64_t allow_mask = 0;
-    mshr_block = 0;
-    int nk = static_cast<int>(runs_.size());
-    for (int k = 0; k < nk; ++k) {
-        if (allowed & (1u << k))
-            allow_mask |= sc.kernelMask[k];
-        if (!(mshr_ok & (1u << k)))
-            mshr_block |= sc.kernelMask[k];
-    }
-    return sc.ready & allow_mask;
-}
-
-std::uint64_t
 SmCore::issuable(const SchedulerState &sc, std::uint64_t cand,
-                 std::uint64_t mshr_block, bool lsu_free,
-                 bool store_blocked) const
+                 bool lsu_free, bool store_blocked) const
 {
     if (!lsu_free)
         return cand & ~(sc.loadMask | sc.storeMask);
-    cand &= ~(mshrFree_ > 0 ? sc.loadMask & mshr_block : sc.loadMask);
+    cand &= ~(mshrFree_ > 0 ? sc.loadMask & sc.mshrBlocked
+                            : sc.loadMask);
     if (store_blocked)
         cand &= ~sc.storeMask;
     return cand;
@@ -651,19 +648,14 @@ SmCore::attribute(std::uint32_t issued, std::uint32_t allowed,
 }
 
 void
-SmCore::addGatedCycles(std::uint32_t allowed, Cycle span)
+SmCore::addGatedCycles(Cycle span)
 {
     // Track the fraction of time each kernel spends quota-gated;
     // the static allocator uses it to estimate a throttled kernel's
     // true capability.
     epochCycles_ += span;
-    if (!quotaGating_)
-        return;
-    int nk = static_cast<int>(runs_.size());
-    for (int k = 0; k < nk; ++k) {
-        if (!(allowed & (1u << k)) && kernels_[k].residentTbs > 0)
-            kernels_[k].stats.gatedCycles += span;
-    }
+    for (std::uint32_t g = gatedKernels_; g; g &= g - 1)
+        kernels_[std::countr_zero(g)].stats.gatedCycles += span;
 }
 
 void
@@ -724,10 +716,9 @@ SmCore::eventBound(Cycle at, bool load_blocked,
     }
     for (const Drain &d : drains_)
         next = std::min(next, d.finishAt);
-    // Never skip across a nonempty wake bucket: every live bit is
-    // for one absolute cycle less than one revolution ahead, so the
-    // first nonempty bucket in ring order from @p at is the next
-    // wake (stale bits only make this conservative).
+    // Never skip across a nonempty wake bucket: every bit is a
+    // pending wake less than one revolution ahead, so the first
+    // nonempty bucket in ring order from @p at is the next wake.
     next = std::min(next, nextWakeFrom(at));
     // Anything already due (a wake, drain or release nextEventAt()
     // finds unprocessed) means "step at @p at".
@@ -744,17 +735,17 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
         processDrains(now);
     while (!mshrRelease_.empty() && mshrRelease_.top().first <= now) {
         mshrFree_++;
-        kernels_[mshrRelease_.top().second].mshrHeld--;
+        if (kernels_[mshrRelease_.top().second].mshrHeld-- == mshrCap_)
+            gatesDirty_ = true;
         mshrRelease_.pop();
     }
 
-    std::uint32_t allowed = allowedKernelMask();
-    std::uint32_t mshr_ok = mshrOkKernelMask();
+    std::uint32_t allowed = allowedKernels();
     bool store_blocked = storeThrottled(now);
 
-    // Attribution snapshot: the issue loop consumes scheduler bits
-    // (clearSchedBits / freeTb), so the per-kernel ready facts must
-    // be captured before arbitration mutates them.
+    // Attribution snapshot: the issue loop consumes ready bits and
+    // may free TBs, so the per-kernel ready facts must be captured
+    // before arbitration mutates them.
     std::uint32_t acct_ready = 0;
     std::uint32_t acct_nonmem = 0;
     std::uint32_t issued_kernels = 0;
@@ -770,17 +761,17 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
     bool blocked_store = false;
     bool pick_declined = false;
 
-    int first = static_cast<int>(now % numScheds_);
+    int first = schedMask_ >= 0
+        ? static_cast<int>(now & static_cast<Cycle>(schedMask_))
+        : static_cast<int>(now % numScheds_);
     for (int i = 0; i < numScheds_; ++i) {
         int s = first + i;
         if (s >= numScheds_)
             s -= numScheds_;
         SchedulerState &sc = scheds_[s];
 
-        std::uint64_t mshr_block = 0;
-        std::uint64_t cand_pre =
-            candidates(sc, allowed, mshr_ok, mshr_block);
-        std::uint64_t cand = issuable(sc, cand_pre, mshr_block,
+        std::uint64_t cand_pre = sc.ready & sc.allowed;
+        std::uint64_t cand = issuable(sc, cand_pre,
                                       lsu_used < lsuPorts_,
                                       store_blocked);
         if (!cand) {
@@ -809,6 +800,7 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
             warps_[slot].next.cls == InstrClass::GlobalStore;
         if (accounting_)
             issued_kernels |= 1u << warps_[slot].kernel;
+        sc.ready = clearBit(sc.ready, lane);
         issueWarp(slot, now);
         if (is_mem)
             lsu_used++;
@@ -827,7 +819,7 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
             : eventBound(now + 1, blocked_load, blocked_store);
     }
 
-    addGatedCycles(allowed, 1);
+    addGatedCycles(1);
 
     // residentTbs/drainingTbs of a non-issuing kernel are unchanged
     // by the issue loop, so post-loop reads match the
@@ -881,16 +873,13 @@ SmCore::nextEventAt(Cycle now) const
     // an issuable candidate the SM must step. The LSU port is free
     // (nothing issued yet), so only MSHR credits and the store
     // throttle can block a ready memory warp.
-    std::uint32_t allowed = allowedKernelMask();
-    std::uint32_t mshr_ok = mshrOkKernelMask();
+    allowedKernels();
     bool store_blocked = storeThrottled(now);
     bool load_waiting = false;
     bool store_waiting = false;
-    for (int s = 0; s < numScheds_; ++s) {
-        const SchedulerState &sc = scheds_[s];
-        std::uint64_t mshr_block = 0;
-        std::uint64_t cand = candidates(sc, allowed, mshr_ok, mshr_block);
-        if (issuable(sc, cand, mshr_block, true, store_blocked))
+    for (const SchedulerState &sc : scheds_) {
+        std::uint64_t cand = sc.ready & sc.allowed;
+        if (issuable(sc, cand, true, store_blocked))
             return now;
         load_waiting |= (cand & sc.loadMask) != 0;
         store_waiting |= (cand & sc.storeMask) != 0;
@@ -930,8 +919,8 @@ SmCore::applyInertSpan(Cycle span)
     // no-candidate cycle; every skipped cycle is one.
     for (int s = 0; s < numScheds_; ++s)
         scheds_[s].lastIssued = -1;
-    std::uint32_t allowed = allowedKernelMask();
-    addGatedCycles(allowed, span);
+    std::uint32_t allowed = allowedKernels(); // refreshes gatedKernels_
+    addGatedCycles(span);
     if (accounting_) {
         // Every classification input (ready/instr masks, residency,
         // drains, quota gating) is frozen across an inert span, and
@@ -959,7 +948,7 @@ SmCore::skipCycles(Cycle now, Cycle span, Cycle samples)
     // them could change -- so each sample in the span contributes
     // the same value. The LSU is never full on a no-issue cycle.
     if (samples > 0)
-        sampleIdleWarps(allowedKernelMask(), false,
+        sampleIdleWarps(allowedKernels(), false,
                         storeThrottled(now), samples);
 }
 
@@ -972,6 +961,7 @@ SmCore::setQuotaGating(bool on)
 {
     settle();
     quotaGating_ = on;
+    gatesDirty_ = true;
     mutVersion_++;
 }
 
@@ -992,6 +982,7 @@ SmCore::setQuota(KernelId k, double q)
     gqos_assert(k >= 0 && k < maxKernels);
     settle();
     kernels_[k].quota = q;
+    gatesDirty_ = true;
     mutVersion_++;
 }
 
@@ -1002,6 +993,7 @@ SmCore::addQuota(KernelId k, double q)
     settle();
     kernels_[k].quota += q;
     kernels_[k].stats.quotaRefills++;
+    gatesDirty_ = true;
     mutVersion_++;
 }
 
@@ -1085,6 +1077,140 @@ SmCore::resetIwSamples()
         kc.stats.gatedCycles = 0;
     }
     epochCycles_ = 0;
+}
+
+// ---------------------------------------------------------------
+// Issue-state invariant (tests only)
+// ---------------------------------------------------------------
+
+std::string
+SmCore::checkIssueState() const
+{
+    auto at = [](const char *what, int slot) {
+        return std::string(what) + " (warp slot " + std::to_string(slot) +
+            ")";
+    };
+    const int lanes_per_sched = maxWarps_ / numScheds_;
+
+    // Wheel: every bit a pending wake in its own bucket; the
+    // occupancy bitmap exact.
+    std::vector<int> wheel_bits(maxWarps_, 0);
+    for (int b = 0; b < wakeRingSize_; ++b) {
+        bool nonempty = false;
+        for (int s = 0; s < numScheds_; ++s) {
+            std::uint64_t word = wakeWheel_[b * numScheds_ + s];
+            nonempty |= word != 0;
+            for (; word; word &= word - 1) {
+                int lane = std::countr_zero(word);
+                if (lane >= lanes_per_sched)
+                    return "wheel bit on lane " + std::to_string(lane) +
+                        " beyond the scheduler's lanes";
+                int slot = slotOf(s, lane);
+                if (warps_[slot].state != WarpState::Live)
+                    return at("wheel bit of a warp that is not Live", slot);
+                if (static_cast<int>(wakeAt_[slot] &
+                                     (wakeRingSize_ - 1)) != b)
+                    return at("wheel bit outside the wake's bucket", slot);
+                wheel_bits[slot]++;
+            }
+        }
+        if (testBit(wakeBits_[b >> 6], b & 63) != nonempty)
+            return "occupancy bit of bucket " + std::to_string(b) +
+                " disagrees with its words";
+    }
+
+    // Per warp: ready xor one pending wake; far flag iff the wake
+    // was clamped short of readyAt; class masks match the decode.
+    for (int slot = 0; slot < maxWarps_; ++slot) {
+        const Warp &w = warps_[slot];
+        const SchedulerState &sc = scheds_[schedOf(slot)];
+        int lane = laneOf(slot);
+        bool ready = testBit(sc.ready, lane);
+        bool far = testBit(farLanes_[schedOf(slot)], lane);
+        if (w.state != WarpState::Live) {
+            if (ready || wheel_bits[slot] || far)
+                return at("non-Live warp is ready or waiting", slot);
+            continue;
+        }
+        if ((ready ? 1 : 0) + wheel_bits[slot] != 1)
+            return at("Live warp is not exactly one of ready/waiting",
+                      slot);
+        if (far != (!ready && w.readyAt > wakeAt_[slot]))
+            return at("far-lane flag disagrees with the wake", slot);
+        if (testBit(sc.loadMask, lane) !=
+                (w.next.cls == InstrClass::GlobalLoad) ||
+            testBit(sc.storeMask, lane) !=
+                (w.next.cls == InstrClass::GlobalStore))
+            return at("class masks disagree with the decode", slot);
+    }
+
+    // Cached gate masks, unless an event marked them for refresh.
+    if (!gatesDirty_) {
+        int nk = static_cast<int>(runs_.size());
+        int resident = 0;
+        for (int k = 0; k < nk; ++k)
+            resident += kernels_[k].residentTbs > 0;
+        int cap = std::max(1, mshrMax_ - mshrReserve *
+                                  std::max(0, resident - 1));
+        std::uint32_t allowed = 0;
+        std::uint32_t gated = 0;
+        for (int k = 0; k < nk; ++k) {
+            bool ok = !quotaGating_ || kernels_[k].quota > 0.0;
+            allowed |= static_cast<std::uint32_t>(ok) << k;
+            gated |= static_cast<std::uint32_t>(
+                         !ok && kernels_[k].residentTbs > 0) << k;
+        }
+        if (cap != mshrCap_ || allowed != allowedKernels_ ||
+            gated != gatedKernels_)
+            return "stale cached kernel gate masks";
+        std::vector<std::uint64_t> allow_lanes(numScheds_, 0);
+        std::vector<std::uint64_t> block_lanes(numScheds_, 0);
+        for (int slot = 0; slot < maxWarps_; ++slot) {
+            const Warp &w = warps_[slot];
+            if (w.state == WarpState::Invalid)
+                continue;
+            std::uint64_t bit = std::uint64_t{1} << laneOf(slot);
+            if (allowed & (1u << w.kernel))
+                allow_lanes[schedOf(slot)] |= bit;
+            if (kernels_[w.kernel].mshrHeld >= cap)
+                block_lanes[schedOf(slot)] |= bit;
+        }
+        for (int s = 0; s < numScheds_; ++s) {
+            if (scheds_[s].allowed != allow_lanes[s] ||
+                scheds_[s].mshrBlocked != block_lanes[s])
+                return "stale cached lanes of scheduler " +
+                    std::to_string(s);
+        }
+    }
+
+    // Age ranks: occupied lanes ranked 0, 1, ... by increasing age;
+    // empty lanes unranked.
+    for (int s = 0; s < numScheds_; ++s) {
+        const SchedulerState &sc = scheds_[s];
+        std::vector<int> by_rank(noAgeRank + 1, -1);
+        int occupied = 0;
+        for (int lane = 0; lane < 64; ++lane) {
+            bool live = lane < lanes_per_sched &&
+                warps_[slotOf(s, lane)].state != WarpState::Invalid;
+            int rank = sc.ageRank[lane];
+            if (live ? rank == noAgeRank || by_rank[rank] >= 0
+                     : rank != noAgeRank)
+                return "age rank of lane " + std::to_string(lane) +
+                    " of scheduler " + std::to_string(s) + " is wrong";
+            if (live) {
+                by_rank[rank] = lane;
+                occupied++;
+            }
+        }
+        for (int r = 0; r < occupied; ++r) {
+            if (by_rank[r] < 0 ||
+                (r > 0 && warps_[slotOf(s, by_rank[r - 1])].age >=
+                              warps_[slotOf(s, by_rank[r])].age))
+                return "age ranks of scheduler " + std::to_string(s) +
+                    " are not oldest first";
+        }
+    }
+    return "";
 }
 
 } // namespace gqos

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -255,6 +256,19 @@ class SmCore
 
     SmId id() const { return id_; }
 
+    /**
+     * Check the incrementally kept issue state against a
+     * from-scratch derivation (DESIGN.md section 11, "Issue state"):
+     * every Live warp is either ready or has exactly one wheel bit,
+     * in the bucket of its wake cycle; other warps have neither; the
+     * wheel occupancy bitmap and far-lane flags are exact; the cached
+     * gate masks (unless an event has marked them for refresh) and
+     * the age ranks match the warps. For tests; the simulator never
+     * calls it.
+     * @return empty if consistent, else the first violation found
+     */
+    std::string checkIssueState() const;
+
   private:
     struct KernelCtx
     {
@@ -300,15 +314,26 @@ class SmCore
     // -O2 GCC would otherwise leave them as calls on the per-cycle
     // path.
 
-    /** Ready lanes the quota mask admits; lanes over the MSHR cap. */
-    inline std::uint64_t candidates(const SchedulerState &sc,
-                                    std::uint32_t allowed,
-                                    std::uint32_t mshr_ok,
-                                    std::uint64_t &mshr_block) const;
+    /**
+     * The EWS quota mask (kernels allowed to issue). First refreshes
+     * every cached gate mask -- this, gatedKernels_, mshrCap_ and
+     * each scheduler's allowed / mshrBlocked lanes -- if an event
+     * marked them stale. Read only at the top of a cycle and on the
+     * skip path, so the masks are a top-of-cycle snapshot: a quota
+     * decrement or MSHR claim made by an issue takes effect next
+     * cycle. Logically const, like settle().
+     */
+    std::uint32_t
+    allowedKernels() const
+    {
+        if (gatesDirty_)
+            const_cast<SmCore *>(this)->recomputeGates();
+        return allowedKernels_;
+    }
+    void recomputeGates();
     /** The candidates the LSU, MSHRs and store throttle let issue. */
     inline std::uint64_t issuable(const SchedulerState &sc,
                                   std::uint64_t cand,
-                                  std::uint64_t mshr_block,
                                   bool lsu_free,
                                   bool store_blocked) const;
     /**
@@ -334,7 +359,7 @@ class SmCore
     CycleCat classifyStalled(int k, std::uint32_t allowed,
                              bool any_ready,
                              bool any_nonmem_ready) const;
-    inline void addGatedCycles(std::uint32_t allowed, Cycle span);
+    inline void addGatedCycles(Cycle span);
     void sampleIdleWarps(std::uint32_t allowed, bool lsu_full,
                          bool store_blocked, Cycle samples);
 
@@ -355,16 +380,15 @@ class SmCore
 
     void rebuildAgeOrder(int sched);
     Cycle nextWakeFrom(Cycle at) const;
-    std::uint32_t allowedKernelMask() const;
-    std::uint32_t mshrOkKernelMask() const;
     bool storeThrottled(Cycle now) const;
-    void scheduleWake(int warp_slot, Cycle at, Cycle now);
+    /** Put the warp's wake for its readyAt on the wheel. */
+    void scheduleWake(int warp_slot, Cycle now);
+    /** Take a waiting warp's pending wake off the wheel. */
+    void cancelWake(int warp_slot);
     void processWakes(Cycle now);
     void processDrains(Cycle now);
-    void markReady(int warp_slot);
-    void clearSchedBits(int warp_slot);
-    void refreshInstrMasks(int warp_slot);
-    void generateNext(Warp &w, const KernelRun &run);
+    /** Decode the warp's next instruction and set its class masks. */
+    void generateNext(int warp_slot);
     void issueWarp(int warp_slot, Cycle now);
     /** Retire, then finish the warp or fetch its next instruction. */
     inline void retireInstr(int warp_slot, Cycle ready_at, Cycle now);
@@ -386,6 +410,7 @@ class SmCore
     int mshrMax_;
     int sfuLatency_;
     int drainCycles_;
+    int schedMask_; //!< numScheds_ - 1 if a power of two, else -1
     bool chargePreemptTraffic_;
     SchedPolicy policy_;
 
@@ -405,13 +430,20 @@ class SmCore
     // wake machinery
     /**
      * Bitmask timing wheel: word [bucket * numScheds_ + sched] holds
-     * the lanes of @c sched with a wake in that bucket. Bits are
-     * never cleared on invalidation; a bit is live only while the
-     * lane's wakeAt_ equals the cycle its bucket is processed.
+     * the lanes of @c sched with a pending wake in that bucket. Every
+     * bit is live: each waiting warp has exactly one, preemption
+     * cancels it, and processWakes() ORs a bucket's words straight
+     * into the schedulers' ready masks.
      */
     std::vector<std::uint64_t> wakeWheel_;
-    /** Pending wake cycle per warp slot, or cycleNever. */
+    /** Wake cycle per warp slot; meaningful while the warp waits. */
     std::vector<Cycle> wakeAt_;
+    /**
+     * Per scheduler: lanes whose pending wake was clamped to one
+     * revolution ahead, short of their readyAt; processWakes()
+     * re-checks only these.
+     */
+    std::vector<std::uint64_t> farLanes_;
     /**
      * Occupancy bitmap over the wheel: bit i set iff some word of
      * bucket i is nonzero. Turns nextEventAt()'s next-nonempty-
@@ -430,6 +462,21 @@ class SmCore
     int mshrFree_;
 
     std::vector<Drain> drains_;
+
+    // cached gate masks: see allowedKernels()
+    std::uint32_t allowedKernels_ = 0;
+    /** Kernels resident and quota-gated (gated-cycle accounting). */
+    std::uint32_t gatedKernels_ = 0;
+    /** Per-kernel MSHR cap: at this many misses a kernel's loads wait. */
+    int mshrCap_ = 0;
+    /**
+     * Set by every event that can change a cached gate mask: a quota
+     * crossing zero, setQuota/addQuota/setQuotaGating, bindKernels,
+     * TB dispatch and free, and a kernel's MSHR count crossing
+     * mshrCap_.
+     */
+    bool gatesDirty_ = true;
+
     bool quotaGating_ = false;
     bool accounting_ = false; //!< cycle-attribution profiler on
     Cycle epochCycles_ = 0; //!< cycles since last sample reset

@@ -51,7 +51,6 @@ struct Warp
     KernelId kernel = invalidKernel;
     std::int16_t tbSlot = -1;
     std::uint8_t phaseIdx = 0;
-    std::uint8_t mshrHeld = 0;
     WarpState state = WarpState::Invalid;
 };
 

@@ -80,6 +80,7 @@ struct EngineSmFixture : public ::testing::Test
         for (Cycle c = 0; c < cycles; ++c) {
             bool sample = (now % 100) == 0;
             sm.cycle(now, sample);
+            ASSERT_EQ(sm.checkIssueState(), "") << "cycle " << now;
             now++;
         }
     }
@@ -169,6 +170,8 @@ TEST_F(EngineSmFixture, SkipMatchesSteppingThroughGatedSpan)
     for (Cycle c = 0; c < 2000; ++c) {
         sm.cycle(c, (c % 100) == 0);
         sm2.cycle(c, (c % 100) == 0);
+        ASSERT_EQ(sm.checkIssueState(), "") << "cycle " << c;
+        ASSERT_EQ(sm2.checkIssueState(), "") << "cycle " << c;
     }
     ASSERT_EQ(sm.nextEventAt(2000), cycleNever);
     // Span [2000, 12000): samples at 2000, 2100, ..., 11900.
@@ -200,7 +203,9 @@ TEST_F(EngineSmFixture, InCycleBoundEqualsNextEventAt)
     auto step = [&](Cycle cycles) {
         for (Cycle end = now + cycles; now < end; ++now) {
             Cycle bound = 0;
-            if (sm.cycle(now, (now % 100) == 0, &bound))
+            bool issued = sm.cycle(now, (now % 100) == 0, &bound);
+            ASSERT_EQ(sm.checkIssueState(), "") << "cycle " << now;
+            if (issued)
                 continue;
             no_issue++;
             ASSERT_EQ(bound, sm.nextEventAt(now + 1))
@@ -507,7 +512,8 @@ struct MachineRun
  * Run one grid of each of @p descs under @p policy with goals
  * @p specs on @p cfg for @p cycles, recording every statistic the
  * machine exposes plus SM-slice and policy telemetry. Probes per-SM
- * occupancy every 500 cycles and checks that every kernel's cycle
+ * occupancy every 500 cycles, checks every SM's issue state at
+ * least once per epoch, and checks that every kernel's cycle
  * breakdown covers every SM cycle.
  */
 void
@@ -534,9 +540,15 @@ runMachine(const GpuConfig &cfg, const std::vector<KernelDesc> &descs,
     for (int k = 0; k < nk; ++k)
         gpu.startGrid(k);
     SimEngine engine(kind, SimEngine::epochStallWindow(cfg.epochLength));
-    for (Cycle t = 500; t <= cycles; t += 500) {
+    // Check every SM's issue state at least once per epoch.
+    Cycle step = cfg.epochLength < 500 ? 100 : 500;
+    for (Cycle t = step; t <= cycles; t += step) {
         ASSERT_FALSE(engine.runUntil(gpu, *pol, t));
         for (int s = 0; s < gpu.numSms(); ++s) {
+            ASSERT_EQ(gpu.sm(s).checkIssueState(), "")
+                << "SM " << s << ", cycle " << t;
+            if (t % 500 != 0)
+                continue;
             int warps = 0;
             for (int k = 0; k < nk; ++k)
                 warps += gpu.sm(s).residentWarps(k);
@@ -733,7 +745,7 @@ TEST_P(RandomMachineDifferential, EventMatchesReference)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomMachineDifferential,
-                         ::testing::Range<std::uint64_t>(1, 25));
+                         ::testing::Range<std::uint64_t>(1, 97));
 
 } // anonymous namespace
 } // namespace gqos

@@ -2,12 +2,14 @@
  * @file
  * SM-core tests: TB dispatch and resource accounting, execution
  * progress, EWS quota gating, preemption, idle-warp sampling,
- * long-latency wakes and determinism.
+ * long-latency wakes and determinism. The fixture checks the SM's
+ * incrementally kept issue state after every cycle.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "mem/mem_system.hh"
@@ -41,11 +43,13 @@ struct SmFixture : public ::testing::Test
             });
     }
 
+    /** Step @p cycles, checking the issue state after each. */
     void
     run(Cycle cycles)
     {
         for (Cycle c = 0; c < cycles; ++c) {
             sm.cycle(now, now % 100 == 0);
+            ASSERT_EQ(sm.checkIssueState(), "") << "cycle " << now;
             ++now;
         }
     }
@@ -250,6 +254,7 @@ TEST(SmCoreLongLatency, WarpReadyExactlyAtFarLoadCompletion)
     Cycle ready_at = 0; // when the last load's warp may issue again
     for (Cycle now = 0; now < 400000 && completed == 0; ++now) {
         bool issued = sm.cycle(now, false);
+        ASSERT_EQ(sm.checkIssueState(), "") << "cycle " << now;
         if (ready_at > 0) {
             ASSERT_EQ(issued, now == ready_at) << "cycle " << now;
             if (issued)
@@ -268,6 +273,36 @@ TEST(SmCoreLongLatency, WarpReadyExactlyAtFarLoadCompletion)
     EXPECT_EQ(sm.kernelStats(0).warpInstrs, d.warpInstrPerTb);
     EXPECT_GT(loads, 0u);
     EXPECT_EQ(far_loads, loads);
+}
+
+TEST(SmCoreMshrCap, SmallPoolSharedByManyKernelsKeepsLoading)
+{
+    // Four MSHRs and three resident kernels: the per-kernel cap of
+    // 4 - 2 * 2 must not fall to zero, or no kernel could ever issue
+    // a load again.
+    GpuConfig cfg = defaultConfig();
+    cfg.l1Mshrs = 4;
+    MemSystem mem(cfg);
+    SmCore sm(cfg, 0, mem);
+    std::vector<KernelDesc> descs;
+    std::vector<KernelRun> runs;
+    runs.reserve(3);
+    for (int k = 0; k < 3; ++k)
+        descs.push_back(test::tinyMemoryKernel("m" + std::to_string(k)));
+    for (int k = 0; k < 3; ++k)
+        runs.emplace_back(descs[k], k, cfg);
+    sm.bindKernels({&runs[0], &runs[1], &runs[2]});
+    int completed = 0;
+    sm.setTbEventCallback([&](SmId, KernelId, TbExit e) {
+        completed += e == TbExit::Completed;
+    });
+    for (KernelId k = 0; k < 3; ++k)
+        ASSERT_TRUE(sm.dispatchTb(k, k, 0, 0));
+    for (Cycle now = 0; now < 400000 && completed < 3; ++now) {
+        sm.cycle(now, false);
+        ASSERT_EQ(sm.checkIssueState(), "") << "cycle " << now;
+    }
+    EXPECT_EQ(completed, 3);
 }
 
 TEST(SmCoreDeterminism, SameSeedSameExecution)
