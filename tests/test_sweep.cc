@@ -9,12 +9,16 @@
 
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/fault_injection.hh"
+#include "common/metrics.hh"
 #include "harness/result_cache.hh"
+#include "harness/run_report.hh"
 #include "harness/sweep.hh"
 
 namespace gqos
@@ -319,6 +323,106 @@ TEST(SweepApi, UnknownConfigInCaseIsRecoverable)
     EXPECT_NE(r.error().message().find("gigantic"),
               std::string::npos)
         << r.error().message();
+}
+
+/**
+ * A --stats-json document without what varies from run to run: the
+ * host-time fields, the metrics sections that are always empty, and
+ * the schema version (compared on its own).
+ */
+std::string
+comparableReport(std::string json)
+{
+    static const std::regex varying(
+        R"re(,"(wall_sec|sim_cycles_per_sec|elapsed_sec)":[^,}]*)re"
+        R"re(|"[a-z_.]*_wall_sec":\{[^}]*\},?)re"
+        R"re(|"(gauges|histograms)":\{\},?)re");
+    json = std::regex_replace(json, varying, "");
+    json = std::regex_replace(json, std::regex(",\\}"), "}");
+    const std::string version = "{\"schema_version\":" +
+                                std::to_string(reportSchemaVersion);
+    EXPECT_EQ(json.rfind(version, 0), 0u) << json.substr(0, 40);
+    return "{" + json.substr(version.size() + 1);
+}
+
+/**
+ * Golden --stats-json of a tiny uncached sweep with one case on a
+ * second configuration. It pins every reported number and the set of
+ * reported cases: the top-level isolatedIpc() call is a case, the
+ * baseline lookups nested inside each case's run() are not.
+ */
+TEST_F(SweepFixture, StatsJsonMatchesGolden)
+{
+    RunReport report;
+    MetricsRegistry metrics;
+    Runner::Options o = makeOptions("golden", false);
+    o.cycles = 25000;
+    o.warmupCycles = 5000;
+    o.report = &report;
+    o.metrics = &metrics;
+    Runner runner = Runner::make(o).value();
+    ASSERT_TRUE(runner.isolatedIpc("sgemm").ok());
+    const std::vector<SweepCase> cases = {
+        {{"sgemm", "lbm"}, {0.5, 0.0}, "rollover", ""},
+        {{"sgemm", "lbm"}, {0.5, 0.0}, "rollover", "large"},
+    };
+    SweepOptions so;
+    so.jobs = 2;
+    so.progress = false;
+    so.label = "golden";
+    ASSERT_TRUE(runSweep(runner, cases, so).ok());
+
+    std::ostringstream os;
+    report.write(os, &metrics);
+    const char *golden =
+        "{\"cases\":[{\"key\":\"even|sgemm:0.0000\",\"policy\":\"even\""
+        ",\"config\":\"default\",\"engine\":\"event\",\"from_cache\":fa"
+        "lse,\"instr_per_watt\":16102264396.218422,\"dram_per_kcycle\":"
+        "508.19999999999999,\"preemptions\":0,\"trace\":\"\",\"kernels"
+        "\":[{\"name\":\"sgemm\",\"is_qos\":false,\"goal_frac\":0,\"goa"
+        "l_ipc\":0,\"ipc\":1033.2991999999999,\"ipc_isolated\":1033.299"
+        "1999999999,\"reached\":true}],\"cycle_breakdown\":[{\"issued\""
+        ":364490,\"quota_gated\":0,\"mem_stall\":14094,\"no_ready_warp"
+        "\":21400,\"drain_preempt\":0,\"inert_skipped\":16}]},{\"key\":"
+        "\"rollover|sgemm:0.5000|lbm:0.0000\",\"policy\":\"rollover\","
+        "\"config\":\"default\",\"engine\":\"event\",\"from_cache\":fal"
+        "se,\"instr_per_watt\":4898239343.7279272,\"dram_per_kcycle\":5"
+        "82.55999999999995,\"preemptions\":32,\"trace\":\"\",\"kernels"
+        "\":[{\"name\":\"sgemm\",\"is_qos\":true,\"goal_frac\":0.5,\"go"
+        "al_ipc\":516.64959999999996,\"ipc\":249.15199999999999,\"ipc_i"
+        "solated\":1033.2991999999999,\"reached\":false},{\"name\":\"lb"
+        "m\",\"is_qos\":false,\"goal_frac\":0,\"goal_ipc\":0,\"ipc\":1."
+        "0016,\"ipc_isolated\":78.241600000000005,\"reached\":true}],\""
+        "cycle_breakdown\":[{\"issued\":151752,\"quota_gated\":0,\"mem_"
+        "stall\":962,\"no_ready_warp\":247262,\"drain_preempt\":0,\"ine"
+        "rt_skipped\":24},{\"issued\":386,\"quota_gated\":338029,\"mem_"
+        "stall\":0,\"no_ready_warp\":494,\"drain_preempt\":61067,\"iner"
+        "t_skipped\":24}]},{\"key\":\"rollover|sgemm:0.5000|lbm:0.0000"
+        "\",\"policy\":\"rollover\",\"config\":\"large\",\"engine\":\"e"
+        "vent\",\"from_cache\":false,\"instr_per_watt\":6925943172.2039"
+        "175,\"dram_per_kcycle\":1571.52,\"preemptions\":112,\"trace\":"
+        "\"\",\"kernels\":[{\"name\":\"sgemm\",\"is_qos\":true,\"goal_f"
+        "rac\":0.5,\"goal_ipc\":1458.0719999999999,\"ipc\":896.18079999"
+        "999998,\"ipc_isolated\":2916.1439999999998,\"reached\":false},"
+        "{\"name\":\"lbm\",\"is_qos\":false,\"goal_frac\":0,\"goal_ipc"
+        "\":0,\"ipc\":1.0064,\"ipc_isolated\":204.696,\"reached\":true}"
+        "],\"cycle_breakdown\":[{\"issued\":582387,\"quota_gated\":0,\""
+        "mem_stall\":2779,\"no_ready_warp\":814750,\"drain_preempt\":0,"
+        "\"inert_skipped\":84},{\"issued\":561,\"quota_gated\":1069996,"
+        "\"mem_stall\":0,\"no_ready_warp\":1801,\"drain_preempt\":32755"
+        "8,\"inert_skipped\":84}]}],\"sweeps\":[{\"label\":\"golden\","
+        "\"total\":2,\"cache_hits\":0,\"jobs\":2,\"faults_injected\":0,"
+        "\"faults_recovered\":0}],\"serving\":[],\"metrics\":{\"counter"
+        "s\":{\"cycles.drain_preempt\":388625,\"cycles.inert_skipped\":"
+        "448,\"cycles.issued\":4681711,\"cycles.mem_stall\":1616283,\"c"
+        "ycles.no_ready_warp\":1304908,\"cycles.quota_gated\":1408025,"
+        "\"engine.control_points\":0,\"engine.skipped_cycles\":1365,\"e"
+        "ngine.sm_skipped_cycles\":2109258,\"engine.stepped_cycles\":22"
+        "3635,\"harness.cases_simulated\":9,\"harness.sweep_cache_hits"
+        "\":0,\"harness.sweep_cases\":2,\"harness.sweeps\":1,\"qos.elas"
+        "tic_restarts\":0,\"qos.epochs\":4,\"qos.refill_grants\":0,\"qo"
+        "s.tb_swaps\":288},\"samples\":{}}}\n";
+    EXPECT_EQ(comparableReport(os.str()), golden);
 }
 
 } // anonymous namespace
