@@ -91,9 +91,6 @@ printPoint(const LoadPoint &pt, const std::vector<TenantSpec> &mix,
                 "p50", "p99", "rej", "aband", "drop", "maxq");
     for (std::size_t i = 0; i < r.tenants.size(); ++i) {
         const TenantServingStats &t = r.tenants[i];
-        const std::uint64_t rejected = t.rejectedQueueFull +
-                                       t.rejectedShed +
-                                       t.rejectedProjected;
         std::printf("%-10s %-10s %6" PRIu64 " %6" PRIu64
                     " %6" PRIu64 " %5.1f%% %7" PRIu64 " %7" PRIu64
                     " %6" PRIu64 " %6" PRIu64 " %5" PRIu64
@@ -103,7 +100,7 @@ printPoint(const LoadPoint &pt, const std::vector<TenantSpec> &mix,
                     100.0 * t.sloAttainment,
                     static_cast<std::uint64_t>(t.p50Latency),
                     static_cast<std::uint64_t>(t.p99Latency),
-                    rejected, t.abandoned, t.droppedAtShutdown,
+                    t.rejected(), t.abandoned, t.droppedAtShutdown,
                     t.maxQueueDepth);
 
         // Robustness invariants, checked at every load point:
@@ -111,7 +108,7 @@ printPoint(const LoadPoint &pt, const std::vector<TenantSpec> &mix,
         gqos_assert(t.maxQueueDepth <= mix[i].queueCap,
                     "tenant %s queue exceeded its bound",
                     t.name.c_str());
-        gqos_assert(t.arrivals == t.admitted + rejected);
+        gqos_assert(t.arrivals == t.admitted + t.rejected());
         gqos_assert(t.admitted == t.completed + t.abandoned +
                                       t.droppedAtShutdown);
     }
@@ -120,42 +117,6 @@ printPoint(const LoadPoint &pt, const std::vector<TenantSpec> &mix,
                 pt.label.c_str());
     gqos_assert(!r.anyTenantStalled, "tenant stalled at %s",
                 pt.label.c_str());
-}
-
-ReportServing
-toReportServing(const LoadPoint &pt, const std::string &policy)
-{
-    ReportServing out;
-    out.label = pt.label;
-    out.policy = policy;
-    out.endCycle = pt.report.endCycle;
-    out.finalLevel = pt.report.finalLevel;
-    out.levelChanges = pt.report.levelChanges;
-    out.drained = pt.report.drained;
-    out.engineStalled = pt.report.engineStalled;
-    out.anyTenantStalled = pt.report.anyTenantStalled;
-    for (const TenantServingStats &t : pt.report.tenants) {
-        ReportServingTenant rt;
-        rt.name = t.name;
-        rt.qosClass = toString(t.qosClass);
-        rt.arrivals = t.arrivals;
-        rt.admitted = t.admitted;
-        rt.completed = t.completed;
-        rt.sloMet = t.sloMet;
-        rt.rejected = t.rejectedQueueFull + t.rejectedShed +
-                      t.rejectedProjected;
-        rt.abandoned = t.abandoned;
-        rt.droppedAtShutdown = t.droppedAtShutdown;
-        rt.maxQueueDepth = t.maxQueueDepth;
-        rt.p50Latency = t.p50Latency;
-        rt.p99Latency = t.p99Latency;
-        rt.sloAttainment = t.sloAttainment;
-        rt.goodput = t.goodput;
-        rt.stalled = t.stalled;
-        out.tenants.push_back(std::move(rt));
-    }
-    out.cycleBreakdown = pt.report.cycleBreakdown;
-    return out;
 }
 
 int
@@ -306,7 +267,7 @@ servingMain(const CliArgs &args)
             pt.buffer.replayTo(*s);
         printPoint(pt, mix, base.policy);
         if (!tel.statsJsonPath.empty())
-            tel.report.addServing(toReportServing(pt, base.policy));
+            tel.report.addServing({pt.label, base.policy, pt.report});
     }
     if (TraceSink *s = tel.sink())
         s->flush();

@@ -145,7 +145,7 @@ Runner::caseKey(const std::vector<std::string> &kernels,
 Result<CachedCase>
 Runner::simulate(const std::vector<std::string> &kernels,
                  const std::vector<double> &goal_frac,
-                 const std::string &policy)
+                 const std::string &policy, ReportCase &measured)
 {
     std::vector<const KernelDesc *> descs;
     std::vector<QosSpec> specs;
@@ -156,7 +156,7 @@ Runner::simulate(const std::vector<std::string> &kernels,
             return desc.error();
         descs.push_back(desc.value());
         if (goal_frac[i] > 0.0) {
-            Result<double> iso = isolatedIpc(kernels[i]);
+            Result<double> iso = baselineIpc(kernels[i], nullptr);
             if (!iso.ok())
                 return iso.error();
             specs.push_back(QosSpec::qos(goal_frac[i] *
@@ -171,8 +171,7 @@ Runner::simulate(const std::vector<std::string> &kernels,
     // Cycle attribution rides along whenever the run is observed
     // (metrics or --stats-json); simulation results are identical
     // either way, the profiler only counts.
-    const bool accounting = opts_.metrics || opts_.report;
-    if (accounting)
+    if (opts_.metrics || opts_.report)
         gpu.setCycleAccounting(true);
     Result<std::unique_ptr<SharingPolicy>> pol =
         makePolicy(policy, specs, cfg_);
@@ -184,16 +183,7 @@ Runner::simulate(const std::vector<std::string> &kernels,
     if (opts_.traceSink) {
         case_sink = std::make_unique<CaseLabelingSink>(
             opts_.traceSink, caseKey(kernels, goal_frac, policy));
-        gpu.setSmSliceCallback(
-            [&case_sink](SmId sm, KernelId k, Cycle start,
-                         Cycle end) {
-                SmSliceRecord rec;
-                rec.sm = sm;
-                rec.kernel = k;
-                rec.start = start;
-                rec.end = end;
-                case_sink->onSmSlice(rec);
-            });
+        traceSmSlices(gpu, case_sink.get());
     }
     if (case_sink || opts_.metrics) {
         pol.value()->attachTelemetry(case_sink.get(),
@@ -221,7 +211,7 @@ Runner::simulate(const std::vector<std::string> &kernels,
     }
     double sim_wall = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - sim_t0).count();
-    lastSimCyclesPerSec_ = sim_wall > 0.0
+    measured.simCyclesPerSec = sim_wall > 0.0
         ? static_cast<double>(gpu.now()) / sim_wall
         : 0.0;
     if (stalled) {
@@ -238,23 +228,8 @@ Runner::simulate(const std::vector<std::string> &kernels,
     pol.value()->onFinish(gpu);
     gpu.closeOpenSmSlices();
 
-    lastBreakdown_.clear();
-    if (accounting) {
-        // Conservation invariant: per (sm, kernel), the categories
-        // telescope exactly to the SM's cycle count, whichever
-        // stepping engine ran the case.
-        for (int s = 0; s < gpu.numSms(); ++s) {
-            for (std::size_t k = 0; k < kernels.size(); ++k) {
-                gqos_assert(
-                    gpu.sm(s)
-                        .cycleBreakdown(static_cast<KernelId>(k))
-                        .total() == gpu.sm(s).stats().cycles);
-            }
-        }
-        for (std::size_t k = 0; k < kernels.size(); ++k)
-            lastBreakdown_.push_back(
-                gpu.cycleBreakdown(static_cast<KernelId>(k)));
-    }
+    measured.cycleBreakdown =
+        collectCycleBreakdowns(gpu, opts_.metrics);
 
     Cycle window = opts_.cycles - warmup;
     CachedCase out;
@@ -273,14 +248,6 @@ Runner::simulate(const std::vector<std::string> &kernels,
         gpu.mem().totalDramAccesses() / std::max<Cycle>(1, gpu.now());
     simulated_++;
     if (opts_.metrics) {
-        for (const CycleBreakdown &b : lastBreakdown_) {
-            for (int i = 0; i < numCycleCats; ++i) {
-                opts_.metrics
-                    ->counter(std::string("cycles.") +
-                              toString(static_cast<CycleCat>(i)))
-                    .inc(b.counts[i]);
-            }
-        }
         opts_.metrics->counter("harness.cases_simulated").inc();
         opts_.metrics->counter("engine.stepped_cycles")
             .inc(engine.stats().steppedCycles);
@@ -302,7 +269,13 @@ Runner::simulate(const std::vector<std::string> &kernels,
 Result<double>
 Runner::isolatedIpc(const std::string &kernel)
 {
-    Result<CaseResult> r = run({kernel}, {0.0}, "even");
+    return baselineIpc(kernel, opts_.report);
+}
+
+Result<double>
+Runner::baselineIpc(const std::string &kernel, RunReport *report)
+{
+    Result<CaseResult> r = runCase({kernel}, {0.0}, "even", report);
     if (!r.ok())
         return r.error();
     return r.value().kernels[0].ipc;
@@ -312,6 +285,14 @@ Result<CaseResult>
 Runner::run(const std::vector<std::string> &kernels,
             const std::vector<double> &goal_frac,
             const std::string &policy)
+{
+    return runCase(kernels, goal_frac, policy, opts_.report);
+}
+
+Result<CaseResult>
+Runner::runCase(const std::vector<std::string> &kernels,
+                const std::vector<double> &goal_frac,
+                const std::string &policy, RunReport *report)
 {
     if (kernels.size() != goal_frac.size()) {
         return Error::format(
@@ -331,32 +312,19 @@ Runner::run(const std::vector<std::string> &kernels,
         }
     }
 
-    // Isolated-baseline lookups recurse through run(); only the
-    // depth-1 (caller-visible) case feeds the report.
-    runDepth_++;
-    struct DepthGuard
-    {
-        int &d;
-        ~DepthGuard() { d--; }
-    } depth_guard{runDepth_};
     auto t0 = std::chrono::steady_clock::now();
 
     std::string key = caseKey(kernels, goal_frac, policy);
+    ReportCase rc;
     CachedCase c;
-    // Captured right after this case's own simulate(): the nested
-    // isolated-baseline runs below would overwrite the members.
-    double sim_cps = 0.0;
-    std::vector<CycleBreakdown> breakdown;
     bool from_cache = cache_ && cache_->lookup(key, c) &&
                       c.ipc.size() == kernels.size();
     if (!from_cache) {
         Result<CachedCase> sim = simulate(kernels, goal_frac,
-                                          policy);
+                                          policy, rc);
         if (!sim.ok())
             return sim.error();
         c = std::move(sim).value();
-        sim_cps = lastSimCyclesPerSec_;
-        breakdown = std::move(lastBreakdown_);
         if (cache_) {
             cache_->insert(key, c);
             if (opts_.traceSink && !opts_.tracePath.empty())
@@ -399,7 +367,7 @@ Runner::run(const std::vector<std::string> &kernels,
         if (kernels.size() == 1 && policy == "even") {
             kr.ipcIsolated = kr.ipc;
         } else {
-            Result<double> iso = isolatedIpc(kernels[i]);
+            Result<double> iso = baselineIpc(kernels[i], nullptr);
             if (!iso.ok())
                 return iso.error();
             kr.ipcIsolated = iso.value();
@@ -408,41 +376,24 @@ Runner::run(const std::vector<std::string> &kernels,
         result.kernels.push_back(std::move(kr));
     }
 
-    if (opts_.report && runDepth_ == 1) {
-        ReportCase rc;
+    if (report) {
         rc.key = key;
         rc.policy = policy;
         rc.config = opts_.configName;
         rc.engine = toString(opts_.engine);
-        rc.simCyclesPerSec = sim_cps;
-        rc.fromCache = from_cache;
         rc.wallSec = std::chrono::duration<double>(
             std::chrono::steady_clock::now() - t0).count();
-        rc.instrPerWatt = result.instrPerWatt;
-        rc.dramPerKcycle = result.dramPerKcycle;
-        rc.preemptions = result.preemptions;
-        rc.cycleBreakdown = std::move(breakdown);
         if (opts_.traceSink) {
             rc.tracePath = from_cache && cache_
                 ? cache_->artifact(key)
                 : opts_.tracePath;
         }
-        for (const auto &k : result.kernels) {
-            ReportKernel rk;
-            rk.name = k.name;
-            rk.isQos = k.isQos;
-            rk.goalFrac = k.goalFrac;
-            rk.goalIpc = k.goalIpc;
-            rk.ipc = k.ipc;
-            rk.ipcIsolated = k.ipcIsolated;
-            rk.reached = k.reached();
-            rc.kernels.push_back(std::move(rk));
-        }
+        rc.result = result;
         if (opts_.metrics) {
             opts_.metrics->observe("harness.case_wall_sec",
                                    rc.wallSec);
         }
-        opts_.report->addCase(std::move(rc));
+        report->addCase(std::move(rc));
     }
     return result;
 }

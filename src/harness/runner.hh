@@ -31,7 +31,6 @@
 #include "common/result.hh"
 #include "engine/sim_engine.hh"
 #include "harness/result_cache.hh"
-#include "telemetry/cycle_accounting.hh"
 
 namespace gqos
 {
@@ -39,6 +38,7 @@ namespace gqos
 class TraceSink;
 class MetricsRegistry;
 class RunReport;
+struct ReportCase;
 
 /** Result for one kernel of a co-run case. */
 struct KernelResult
@@ -216,33 +216,32 @@ class Runner
     std::string caseKey(const std::vector<std::string> &kernels,
                         const std::vector<double> &goal_frac,
                         const std::string &policy) const;
+
+    /** run(), appending the case to @p report when non-null. */
+    Result<CaseResult> runCase(const std::vector<std::string> &kernels,
+                               const std::vector<double> &goal_frac,
+                               const std::string &policy,
+                               RunReport *report);
+
+    /** isolatedIpc(), reported to @p report when non-null. */
+    Result<double> baselineIpc(const std::string &kernel,
+                               RunReport *report);
+
+    /**
+     * Simulate one case. Also writes what the run measured on the
+     * host and profiler side — simulated cycles per second and the
+     * per-kernel cycle breakdowns — into @p measured.
+     */
     Result<CachedCase> simulate(
         const std::vector<std::string> &kernels,
         const std::vector<double> &goal_frac,
-        const std::string &policy);
+        const std::string &policy, ReportCase &measured);
 
     Options opts_;
     GpuConfig cfg_;
     std::string cachePath_;
     std::shared_ptr<ResultCache> cache_;
     int simulated_ = 0;
-    /**
-     * Simulated cycles per wall-clock second of the most recent
-     * simulate() call (report plumbing; a Runner is single-
-     * threaded, see the class comment).
-     */
-    double lastSimCyclesPerSec_ = 0.0;
-    /**
-     * Per-kernel cycle attribution of the most recent simulate()
-     * call (empty when the profiler was off); same plumbing
-     * pattern as lastSimCyclesPerSec_.
-     */
-    std::vector<CycleBreakdown> lastBreakdown_;
-    /**
-     * run() nesting depth: isolated-baseline runs recurse through
-     * run(), and only depth-1 calls are report-worthy cases.
-     */
-    int runDepth_ = 0;
     /** Cache-hits-bypass-tracing warned once per runner. */
     bool warnedTraceBypass_ = false;
 };

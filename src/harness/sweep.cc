@@ -306,44 +306,37 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
             ctx.cache->flush();
     }
 
-    const double secs = elapsedSec();
-    const int used = static_cast<int>(std::min<std::size_t>(jobs, n));
-    const std::uint64_t faultsSeen =
+    SweepStats summary;
+    summary.total = n;
+    summary.cacheHits = hits.load();
+    summary.jobs = static_cast<int>(std::min<std::size_t>(jobs, n));
+    summary.elapsedSec = elapsedSec();
+    summary.faultsInjected =
         FaultInjector::instance().totalInjected() - faultsBefore;
-    if (stats) {
-        stats->total = n;
-        stats->cacheHits = hits.load();
-        stats->jobs = used;
-        stats->elapsedSec = secs;
-        stats->faultsInjected = faultsSeen;
-    }
+    if (stats)
+        *stats = summary;
     if (RunReport *report = runner.options().report) {
-        ReportSweep rs;
-        rs.label = opts.label;
-        rs.total = static_cast<int>(n);
-        rs.cacheHits = static_cast<int>(hits.load());
-        rs.jobs = used;
-        rs.elapsedSec = secs;
-        rs.faultsInjected = faultsSeen;
         // Every fault absorbed without surfacing an error counts as
         // recovered; an aborted sweep makes no such claim.
-        rs.faultsRecovered = firstError ? 0 : faultsSeen;
-        report->addSweep(rs);
+        report->addSweep({opts.label, summary,
+                          firstError ? 0 : summary.faultsInjected});
     }
     if (MetricsRegistry *metrics = runner.options().metrics) {
         metrics->counter("harness.sweeps").inc();
         metrics->counter("harness.sweep_cases").inc(n);
         metrics->counter("harness.sweep_cache_hits")
-            .inc(hits.load());
-        metrics->observe("harness.sweep_wall_sec", secs);
+            .inc(summary.cacheHits);
+        metrics->observe("harness.sweep_wall_sec",
+                         summary.elapsedSec);
     }
     if (opts.progress) {
         std::fprintf(stderr,
                      "%s[%s] %zu/%zu cases, %zu cache hits, %.1fs, "
                      "%d job%s\n",
                      tty ? "\r" : "", opts.label.c_str(),
-                     done.load(), n, hits.load(), secs, used,
-                     used == 1 ? "" : "s");
+                     done.load(), n, summary.cacheHits,
+                     summary.elapsedSec, summary.jobs,
+                     summary.jobs == 1 ? "" : "s");
     }
 
     if (firstError)

@@ -178,18 +178,6 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
     TraceSink *out = sink ? &labeled : nullptr;
     policy.attachTelemetry(out, opts_.metrics);
 
-    MetricsRegistry::Counter *cArrivals = nullptr, *cAdmit = nullptr,
-                             *cComplete = nullptr, *cReject = nullptr,
-                             *cAbandon = nullptr, *cStall = nullptr;
-    if (opts_.metrics) {
-        cArrivals = &opts_.metrics->counter("serving.arrivals");
-        cAdmit = &opts_.metrics->counter("serving.admitted");
-        cComplete = &opts_.metrics->counter("serving.completed");
-        cReject = &opts_.metrics->counter("serving.rejected");
-        cAbandon = &opts_.metrics->counter("serving.abandoned");
-        cStall = &opts_.metrics->counter("serving.tenant_stalls");
-    }
-
     Gpu gpu(cfg_);
     std::vector<const KernelDesc *> descPtrs;
     for (const KernelDesc &d : descs_)
@@ -200,20 +188,9 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
     // Cycle attribution is on whenever anyone can observe it (the
     // metrics registry or a trace/timeline sink); otherwise the
     // profiler stays off the hot path entirely.
-    const bool accounting = opts_.metrics || sink;
-    if (accounting)
+    if (opts_.metrics || sink)
         gpu.setCycleAccounting(true);
-    if (out) {
-        gpu.setSmSliceCallback([out](SmId sm, KernelId k, Cycle start,
-                                     Cycle end) {
-            SmSliceRecord rec;
-            rec.sm = sm;
-            rec.kernel = k;
-            rec.start = start;
-            rec.end = end;
-            out->onSmSlice(rec);
-        });
-    }
+    traceSmSlices(gpu, out);
     policy.onLaunch(gpu);
 
     SimEngine engine(opts_.engine, stallWindow);
@@ -290,8 +267,6 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
                 st.sloMet++;
             }
             st.maxLatency = std::max(st.maxLatency, latency);
-            if (cComplete)
-                cComplete->inc();
             emit("complete", t, ts[t].req.seq, latency, "");
             ts[t].running = false;
         }
@@ -302,30 +277,20 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
             const Arrival &a = arrivals[ai++];
             TenantServingStats &st = report.tenants[a.tenant];
             st.arrivals++;
-            if (cArrivals)
-                cArrivals->inc();
             const AdmitOutcome outcome = admission.onArrival(
                 a.tenant, a.seq, now, ts[a.tenant].ewmaService);
             switch (outcome) {
               case AdmitOutcome::Admitted:
                 st.admitted++;
-                if (cAdmit)
-                    cAdmit->inc();
                 break;
               case AdmitOutcome::RejectedQueueFull:
                 st.rejectedQueueFull++;
-                if (cReject)
-                    cReject->inc();
                 break;
               case AdmitOutcome::RejectedShed:
                 st.rejectedShed++;
-                if (cReject)
-                    cReject->inc();
                 break;
               case AdmitOutcome::RejectedProjected:
                 st.rejectedProjected++;
-                if (cReject)
-                    cReject->inc();
                 break;
             }
             emit("arrival", a.tenant, a.seq, 0, toString(outcome));
@@ -340,8 +305,6 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
             for (const QueuedRequest &req :
                  admission.expireAbandoned(t, now)) {
                 report.tenants[t].abandoned++;
-                if (cAbandon)
-                    cAbandon->inc();
                 emit("abandon", t, req.seq, now - req.arrival,
                      "deadline");
             }
@@ -388,8 +351,6 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
             if (ts[t].stall.observe(now, instrs, live)) {
                 report.tenants[t].stalled = true;
                 report.anyTenantStalled = true;
-                if (cStall)
-                    cStall->inc();
                 emit("tenant_stalled", t, ts[t].req.seq,
                      now - ts[t].dispatchedAt, "watchdog");
                 gqos_warn("serving: tenant '%s' stalled at cycle "
@@ -448,29 +409,8 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
     policy.onFinish(gpu);
     gpu.closeOpenSmSlices();
 
-    if (accounting) {
-        // Conservation: the profiler attributes every SM cycle to
-        // exactly one category, so per-SM totals must equal the SM's
-        // cycle count regardless of how the run ended.
-        for (int s = 0; s < gpu.numSms(); ++s) {
-            for (int t = 0; t < n; ++t) {
-                gqos_assert(gpu.sm(s).cycleBreakdown(t).total() ==
-                            gpu.sm(s).stats().cycles);
-            }
-        }
-        for (int t = 0; t < n; ++t) {
-            CycleBreakdown b = gpu.cycleBreakdown(t);
-            if (opts_.metrics) {
-                for (int i = 0; i < numCycleCats; ++i) {
-                    opts_.metrics->counter(
-                        std::string("cycles.") +
-                        toString(static_cast<CycleCat>(i)))
-                        .inc(b.counts[i]);
-                }
-            }
-            report.cycleBreakdown.push_back(b);
-        }
-    }
+    report.cycleBreakdown =
+        collectCycleBreakdowns(gpu, opts_.metrics);
 
     report.endCycle = gpu.now();
     report.finalLevel = admission.level();
@@ -492,12 +432,18 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
         // Conservation: every arrival is exactly one of admitted or
         // rejected, and every admitted request ends in exactly one
         // terminal state.
-        gqos_assert(st.arrivals ==
-                    st.admitted + st.rejectedQueueFull +
-                        st.rejectedShed + st.rejectedProjected);
+        gqos_assert(st.arrivals == st.admitted + st.rejected());
         gqos_assert(st.admitted ==
                     st.completed + st.abandoned +
                         st.droppedAtShutdown);
+        if (MetricsRegistry *m = opts_.metrics) {
+            m->counter("serving.arrivals").inc(st.arrivals);
+            m->counter("serving.admitted").inc(st.admitted);
+            m->counter("serving.completed").inc(st.completed);
+            m->counter("serving.rejected").inc(st.rejected());
+            m->counter("serving.abandoned").inc(st.abandoned);
+            m->counter("serving.tenant_stalls").inc(st.stalled);
+        }
     }
     if (out)
         out->flush();

@@ -98,6 +98,13 @@ struct TenantServingStats
     /** SLO-met completions per million simulated cycles. */
     double goodput = 0.0;
     bool stalled = false;
+
+    /** Arrivals refused, for any of the three reasons. */
+    std::uint64_t
+    rejected() const
+    {
+        return rejectedQueueFull + rejectedShed + rejectedProjected;
+    }
 };
 
 /** Whole-run outcome. */

@@ -10,6 +10,9 @@
 #include <sstream>
 
 #include "common/json.hh"
+#include "common/logging.hh"
+#include "common/metrics.hh"
+#include "gpu/gpu.hh"
 
 namespace gqos
 {
@@ -200,6 +203,50 @@ openTraceSink(const std::string &path)
     if (!sink.ok())
         return sink.error();
     return std::unique_ptr<TraceSink>(std::move(sink.value()));
+}
+
+void
+traceSmSlices(Gpu &gpu, TraceSink *sink)
+{
+    if (!sink)
+        return;
+    gpu.setSmSliceCallback(
+        [sink](SmId sm, KernelId k, Cycle start, Cycle end) {
+            SmSliceRecord rec;
+            rec.sm = sm;
+            rec.kernel = k;
+            rec.start = start;
+            rec.end = end;
+            sink->onSmSlice(rec);
+        });
+}
+
+std::vector<CycleBreakdown>
+collectCycleBreakdowns(const Gpu &gpu, MetricsRegistry *metrics)
+{
+    std::vector<CycleBreakdown> out;
+    if (!gpu.cycleAccounting())
+        return out;
+    // Conservation: the profiler attributes every SM cycle to exactly
+    // one category, whichever engine ran and however the run ended.
+    for (int s = 0; s < gpu.numSms(); ++s) {
+        for (KernelId k = 0; k < gpu.numKernels(); ++k) {
+            gqos_assert(gpu.sm(s).cycleBreakdown(k).total() ==
+                        gpu.sm(s).stats().cycles);
+        }
+    }
+    for (KernelId k = 0; k < gpu.numKernels(); ++k) {
+        out.push_back(gpu.cycleBreakdown(k));
+        if (!metrics)
+            continue;
+        for (int i = 0; i < numCycleCats; ++i) {
+            metrics
+                ->counter(std::string("cycles.") +
+                          toString(static_cast<CycleCat>(i)))
+                .inc(out.back().counts[i]);
+        }
+    }
+    return out;
 }
 
 } // namespace gqos

@@ -44,9 +44,13 @@
 
 #include "arch/types.hh"
 #include "common/result.hh"
+#include "telemetry/cycle_accounting.hh"
 
 namespace gqos
 {
+
+class Gpu;
+class MetricsRegistry;
 
 /**
  * Schema version stamped into every serialized trace record (JSONL
@@ -378,6 +382,25 @@ class JsonlTraceSink : public TraceSink
  */
 Result<std::unique_ptr<TraceSink>> openTraceSink(
     const std::string &path);
+
+// ---- observation of one run, shared by Runner and ServingDriver ----
+
+/**
+ * Send @p gpu's kernel-occupancy slices to @p sink as SmSliceRecords
+ * (see Gpu::setSmSliceCallback). A null @p sink leaves @p gpu
+ * untraced. @p sink must outlive the run.
+ */
+void traceSmSlices(Gpu &gpu, TraceSink *sink);
+
+/**
+ * End-of-run cycle attribution of @p gpu: asserts that every SM's
+ * categories add up to its cycle count for every kernel, adds each
+ * kernel's categories to the "cycles.*" counters of @p metrics (when
+ * non-null) and returns the per-kernel breakdowns summed over SMs.
+ * Empty when the profiler was off.
+ */
+std::vector<CycleBreakdown> collectCycleBreakdowns(
+    const Gpu &gpu, MetricsRegistry *metrics);
 
 } // namespace gqos
 

@@ -280,16 +280,16 @@ TEST(RunReport, WritesSortedCasesSweepsAndMetrics)
     ReportCase first;
     first.key = "rollover|a:0.9";
     first.policy = "rollover";
-    ReportKernel k;
+    KernelResult k;
     k.name = "a";
     k.isQos = true;
     k.goalFrac = 0.9;
-    first.kernels.push_back(k);
+    first.result.kernels.push_back(k);
     report.addCase(second);
     report.addCase(first);
     ReportSweep sw;
     sw.label = "fig6";
-    sw.total = 2;
+    sw.stats.total = 2;
     report.addSweep(sw);
     EXPECT_EQ(report.caseCount(), 2u);
 
