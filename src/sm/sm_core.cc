@@ -759,7 +759,6 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
     // scheduler, so they are exactly what nextEventAt() derives.
     bool blocked_load = false;
     bool blocked_store = false;
-    bool pick_declined = false;
 
     int first = schedMask_ >= 0
         ? static_cast<int>(now & static_cast<Cycle>(schedMask_))
@@ -783,17 +782,10 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
             continue;
         }
 
-        int lane;
-        if (policy_ == SchedPolicy::Gto) {
-            lane = pickGto(sc, cand);
-        } else {
-            lane = pickLrr(sc, cand);
-        }
-        if (lane < 0) {
-            pick_declined = true;
-            sc.lastIssued = -1;
-            continue;
-        }
+        // cand is a subset of ready, which holds only Live lanes, and
+        // every Live lane has an age rank: neither pick can decline.
+        int lane = policy_ == SchedPolicy::Gto ? pickGto(sc, cand)
+                                               : pickLrr(sc, cand);
         int slot = slotOf(s, lane);
         bool is_mem =
             warps_[slot].next.cls == InstrClass::GlobalLoad ||
@@ -811,13 +803,8 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
     if (any_issue)
         stats_.activeCycles++;
 
-    if (!any_issue && next_event) {
-        // A declined pick is the one case nextEventAt() cannot see,
-        // so it conservatively forces a step next cycle.
-        *next_event = pick_declined
-            ? now + 1
-            : eventBound(now + 1, blocked_load, blocked_store);
-    }
+    if (!any_issue && next_event)
+        *next_event = eventBound(now + 1, blocked_load, blocked_store);
 
     addGatedCycles(1);
 

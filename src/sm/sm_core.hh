@@ -123,9 +123,8 @@ class SmCore
      * @param next_event when non-null and no instruction issued,
      *        receives nextEventAt(now + 1): the blocked-candidate
      *        facts this cycle's arbitration already derived go
-     *        through the same eventBound() that nextEventAt() uses
-     *        (a declined scheduler pick yields now + 1). Untouched
-     *        when the SM issued.
+     *        through the same eventBound() that nextEventAt() uses.
+     *        Untouched when the SM issued.
      * @return true if any scheduler issued an instruction
      */
     bool cycle(Cycle now, bool sample_iw,
