@@ -1,7 +1,7 @@
 /**
  * @file
- * Small statistics package: scalar counters, running averages and
- * fixed-bucket histograms used throughout the simulator.
+ * Small statistics package: sample distributions and fixed-bucket
+ * histograms.
  */
 
 #ifndef GQOS_COMMON_STATS_HH
@@ -100,41 +100,6 @@ class Histogram
     std::vector<double> bounds_;
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
-};
-
-/**
- * A windowed running average used by QoS history tracking: exposes
- * both the lifetime average and the average of the most recent
- * window.
- */
-class RunningAverage
-{
-  public:
-    /** Record one sample. */
-    void
-    add(double v)
-    {
-        count_++;
-        sum_ += v;
-        last_ = v;
-    }
-
-    double lifetime() const { return count_ ? sum_ / count_ : 0.0; }
-    double last() const { return last_; }
-    std::uint64_t count() const { return count_; }
-
-    void
-    reset()
-    {
-        count_ = 0;
-        sum_ = 0.0;
-        last_ = 0.0;
-    }
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double last_ = 0.0;
 };
 
 } // namespace gqos

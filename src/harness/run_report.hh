@@ -38,8 +38,10 @@ class MetricsRegistry;
  *   1: initial layout
  *   2: schema_version stamped; cases and serving entries gain
  *      "cycle_breakdown" (cycle-attribution profiler)
+ *   3: "metrics" loses its always-empty "gauges" and "histograms"
+ *      sections
  */
-constexpr int reportSchemaVersion = 2;
+constexpr int reportSchemaVersion = 3;
 
 /** One top-level harness case: identity, host time and result. */
 struct ReportCase
