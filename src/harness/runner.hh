@@ -170,7 +170,10 @@ class Runner
     Runner(Runner &&) = default;
     Runner &operator=(Runner &&) = default;
 
-    /** Isolated (full-GPU, single-kernel) IPC of @p kernel. */
+    /**
+     * Isolated (full-GPU, single-kernel) IPC of @p kernel, reported
+     * as an "even|kernel:0.0000" case when a RunReport is attached.
+     */
     Result<double> isolatedIpc(const std::string &kernel);
 
     /**

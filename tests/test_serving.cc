@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/fault_injection.hh"
+#include "common/metrics.hh"
 #include "engine/sim_engine.hh"
 #include "gpu/gpu.hh"
 #include "policy/policy_factory.hh"
@@ -705,6 +706,57 @@ TEST(ServingDriver, WatchdogTripsOnFrozenTenantAndShutsDownClean)
         }
     }
     EXPECT_TRUE(sawStall);
+}
+
+/** @p metrics' serving.* counters equal the sums over @p r's tenants. */
+void
+expectServingCounters(MetricsRegistry &metrics, const ServingReport &r)
+{
+    std::uint64_t arrivals = 0, admitted = 0, completed = 0,
+                  rejected = 0, abandoned = 0, stalls = 0;
+    for (const TenantServingStats &t : r.tenants) {
+        arrivals += t.arrivals;
+        admitted += t.admitted;
+        completed += t.completed;
+        rejected += t.rejectedQueueFull + t.rejectedShed +
+                    t.rejectedProjected;
+        abandoned += t.abandoned;
+        stalls += t.stalled;
+    }
+    EXPECT_EQ(metrics.counter("serving.arrivals").value(), arrivals);
+    EXPECT_EQ(metrics.counter("serving.admitted").value(), admitted);
+    EXPECT_EQ(metrics.counter("serving.completed").value(), completed);
+    EXPECT_EQ(metrics.counter("serving.rejected").value(), rejected);
+    EXPECT_EQ(metrics.counter("serving.abandoned").value(), abandoned);
+    EXPECT_EQ(metrics.counter("serving.tenant_stalls").value(), stalls);
+}
+
+TEST(ServingDriver, MetricsCountersSumTenantStats)
+{
+    // Overload with small queues, so every counter moves.
+    std::vector<TenantSpec> mix = servingMix();
+    for (TenantSpec &t : mix)
+        t.queueCap = 4;
+    MetricsRegistry overload;
+    ServingOptions opts = servingOpts();
+    opts.drainGrace = 100000;
+    opts.metrics = &overload;
+    ServingReport r = runServing(servingArrivals(0.3, 250000), nullptr,
+                                 opts, mix);
+    EXPECT_GT(overload.counter("serving.rejected").value(), 0u);
+    EXPECT_GT(overload.counter("serving.completed").value(), 0u);
+    expectServingCounters(overload, r);
+
+    // A frozen tenant trips the watchdog and ends the run early.
+    MetricsRegistry stalled;
+    opts = servingOpts();
+    opts.watchdogMs = 0.1;
+    opts.metrics = &stalled;
+    ServingReport s = runServing(servingArrivals(0.05, 250000), nullptr,
+                                 opts, servingMix(), 1);
+    EXPECT_TRUE(s.anyTenantStalled);
+    EXPECT_EQ(stalled.counter("serving.tenant_stalls").value(), 1u);
+    expectServingCounters(stalled, s);
 }
 
 TEST(ServingDriver, RejectsInvalidOptions)

@@ -326,9 +326,10 @@ TEST(SweepApi, UnknownConfigInCaseIsRecoverable)
 }
 
 /**
- * A --stats-json document without what varies from run to run: the
- * host-time fields, the metrics sections that are always empty, and
- * the schema version (compared on its own).
+ * A --stats-json document without the host-time fields, which vary
+ * from run to run, and without what schema 3 changed: the schema
+ * version (checked on its own) and the always-empty "gauges" and
+ * "histograms" sections schema 2 wrote.
  */
 std::string
 comparableReport(std::string json)
