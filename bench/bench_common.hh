@@ -182,10 +182,8 @@ runnerOptions(const CliArgs &args, const std::string &config = "default")
     // CliArgs rewrites `--no-cache` to `cache=false`, so the cache
     // option doubles as a directory path and an off switch.
     std::string cache = args.getString("cache", ".qos_cache");
-    bool cacheOn = cache != "false";
-    opts.cacheDir = cacheOn ? cache : ".qos_cache";
-    opts.useCache = args.getBool("cache-enabled", cacheOn);
-    opts.verbose = args.getBool("verbose", false);
+    opts.useCache = cache != "false";
+    opts.cacheDir = opts.useCache ? cache : ".qos_cache";
     opts.engine = okOrDie(
         parseEngineKind(args.getString("engine", "event")));
     opts.traceSink = t.sink();
@@ -363,8 +361,7 @@ class Sweep
         pass_ = Pass::Plan;
         cases_.clear();
         body(*this);
-        results_ =
-            okOrDie(runSweep(runner_, cases_, opts_, &stats_));
+        results_ = okOrDie(runSweep(runner_, cases_, opts_));
         pass_ = Pass::Emit;
         cursor_ = 0;
         body(*this);
@@ -378,11 +375,10 @@ class Sweep
      */
     CaseResult
     run(const std::vector<std::string> &kernels,
-        const std::vector<double> &goals, const std::string &policy,
-        const std::string &config = "")
+        const std::vector<double> &goals, const std::string &policy)
     {
         if (pass_ == Pass::Plan) {
-            cases_.push_back({kernels, goals, policy, config});
+            cases_.push_back({kernels, goals, policy});
             return CaseResult{};
         }
         gqos_assert(cursor_ < results_.size());
@@ -415,9 +411,6 @@ class Sweep
             printHeader(title);
     }
 
-    /** Stats of the last execute() (done/hits/jobs/elapsed). */
-    const SweepStats &stats() const { return stats_; }
-
   private:
     Runner &runner_;
     SweepOptions opts_;
@@ -425,7 +418,6 @@ class Sweep
     std::vector<SweepCase> cases_;
     std::vector<CaseResult> results_;
     std::size_t cursor_ = 0;
-    SweepStats stats_;
 };
 
 } // namespace gqos::bench

@@ -138,15 +138,23 @@ servingMain(const CliArgs &args)
     std::vector<double> loads;
     for (const std::string &tok :
          splitList(args.getString("loads", "0.5,1.0,2.0,4.0"))) {
-        if (!tok.empty())
-            loads.push_back(std::strtod(tok.c_str(), nullptr));
+        if (tok.empty())
+            continue;
+        double load = 0.0;
+        if (!parseFullDouble(tok, load) || !std::isfinite(load) ||
+            load <= 0.0) {
+            gqos_fatal("option --loads expects finite numbers > 0, "
+                       "got '%s'", tok.c_str());
+        }
+        loads.push_back(load);
     }
     if (fromFile && loads.size() != 1) {
         // A file trace carries its own absolute load; multipliers
         // do not apply.
         loads = {1.0};
     }
-    gqos_assert(!loads.empty());
+    if (loads.empty())
+        gqos_fatal("option --loads expects at least one load multiplier");
 
     const double rate = args.getDouble("rate", 0.04);
     const Cycle horizonFlag =

@@ -18,8 +18,11 @@
 # cycle. The trace smoke runs a traced bench_fig6 sweep at --jobs 4
 # and --jobs 1: stdout and cache lines must match the untraced run,
 # the JSONL must hold the same lines and the timeline the same
-# bytes at both job counts. The default preset additionally runs the engine
-# differential smoke: every simulating figure bench and bench_serving
+# bytes at both job counts, and the cold traced run must not warn
+# that a cache hit bypassed the trace. The serving smoke also checks
+# that a malformed --loads value is rejected with an error naming
+# it. The default preset additionally runs the engine differential
+# smoke: every simulating figure bench and bench_serving
 # must print byte-identical stdout (and byte-identical --trace JSONL)
 # under --engine event and --engine reference.
 #
@@ -98,11 +101,21 @@ trace_smoke() {
         --trace "$scratch/epochs.jsonl" \
         --timeline "$scratch/timeline.json" \
         --stats-json "$scratch/stats.json" \
-        > "$scratch/traced.out" 2>/dev/null
+        > "$scratch/traced.out" 2> "$scratch/traced.err"
     cmp "$scratch/plain.out" "$scratch/traced.out"
-    # Identical cache contents too (sealed result lines only; the
-    # .meta artifact sidecar is telemetry metadata by design).
+    # Identical cache contents too.
     cmp <(sort "$scratch/t0/"*.csv) <(sort "$scratch/t1/"*.csv)
+    # A cold cache holds only entries this sweep simulated and
+    # traced, so no cache hit may claim to bypass the trace, and the
+    # cache directory holds results only.
+    if grep -q "bypasses the requested trace" "$scratch/traced.err"; then
+        echo "trace smoke: cold traced sweep warned of a trace bypass" >&2
+        return 1
+    fi
+    if compgen -G "$scratch/t1/*.meta" > /dev/null; then
+        echo "trace smoke: cache directory holds a .meta file" >&2
+        return 1
+    fi
 
     # The traced sweep must not depend on the job count either. Sweep
     # workers interleave JSONL records across cases, so the trace is
@@ -270,6 +283,16 @@ serving_smoke() {
         GQOS_FAULT_SEED=7 \
         "$bin" $flags --jobs 4 > "$scratch/f4.out" 2>/dev/null
     cmp "$scratch/f1.out" "$scratch/f4.out"
+
+    # A malformed load multiplier is a CLI error naming the flag.
+    if "$bin" --launches 60 --loads abc --quiet \
+        > /dev/null 2> "$scratch/loads.err"; then
+        echo "serving smoke: --loads abc did not fail" >&2
+        return 1
+    fi
+    grep -q -- "--loads" "$scratch/loads.err" || {
+        echo "serving smoke: --loads abc error does not name --loads" >&2
+        return 1; }
 
     if command -v python3 >/dev/null 2>&1; then
         python3 - "$scratch/a.stats" <<'EOF'

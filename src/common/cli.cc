@@ -60,7 +60,7 @@ namespace
 {
 
 /**
- * Strict numeric parses: the whole token must be consumed, so
+ * Strict numeric parse: the whole token must be consumed, so
  * "10k", "1.5x" or an empty value are rejected rather than silently
  * truncated to their numeric prefix.
  */
@@ -75,6 +75,8 @@ parseFullInt(const std::string &text, std::int64_t &out)
     return end == text.c_str() + text.size() && errno != ERANGE;
 }
 
+} // anonymous namespace
+
 bool
 parseFullDouble(const std::string &text, double &out)
 {
@@ -85,8 +87,6 @@ parseFullDouble(const std::string &text, double &out)
     out = std::strtod(text.c_str(), &end);
     return end == text.c_str() + text.size() && errno != ERANGE;
 }
-
-} // anonymous namespace
 
 std::int64_t
 CliArgs::getInt(const std::string &name, std::int64_t def) const

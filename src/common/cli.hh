@@ -56,6 +56,12 @@ class CliArgs
     std::vector<std::string> positional_;
 };
 
+/**
+ * Parse all of @p text as a double, the rule getDouble() applies:
+ * false on an empty string, trailing characters or overflow.
+ */
+bool parseFullDouble(const std::string &text, double &out);
+
 /** Split a comma-separated list into trimmed tokens. */
 std::vector<std::string> splitList(const std::string &text,
                                    char sep = ',');

@@ -1,18 +1,13 @@
 /**
  * @file
- * Named-metric registry: counters and sample distributions that
- * simulator components register into by name.
+ * Named-metric registry: counters that simulator components register
+ * into by name, with JSON serialization.
  *
- * Builds on SampleStat from common/stats.hh and adds naming and JSON
- * serialization on top. One registry typically spans one run (a
- * Runner owns one and shares it with its sweep workers), so the
- * registry is thread-safe:
- *
- *  - counter() hands out a stable Counter handle whose inc() is a
- *    relaxed atomic add — safe to call from any thread without
- *    re-entering the registry;
- *  - observe() takes the registry mutex; it is meant for case- or
- *    sweep-grained call sites where a lock is negligible.
+ * One registry typically spans one run (a Runner owns one and shares
+ * it with its sweep workers), so the registry is thread-safe:
+ * counter() hands out a stable Counter handle whose inc() is a
+ * relaxed atomic add — safe to call from any thread without
+ * re-entering the registry.
  *
  * Overhead-when-disabled guarantee: instrumented components hold a
  * `MetricsRegistry *` that defaults to nullptr and cache their
@@ -31,8 +26,6 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-
-#include "common/stats.hh"
 
 namespace gqos
 {
@@ -76,21 +69,16 @@ class MetricsRegistry
      */
     Counter &counter(const std::string &name);
 
-    /** Record @p value into the sample distribution @p name. */
-    void observe(const std::string &name, double value);
-
     /**
-     * Serialize every metric as one JSON object, sections keyed by
-     * kind ("counters", "samples"), metrics sorted by name within
-     * each section.
+     * Serialize every metric as one JSON object with one section,
+     * "counters", sorted by name.
      */
     void writeJson(std::ostream &os) const;
 
   private:
     mutable std::mutex mutex_;
-    // node-based maps: references into them are stable
+    // node-based map: references into it are stable
     std::map<std::string, std::unique_ptr<Counter>> counters_;
-    std::map<std::string, SampleStat> samples_;
 };
 
 } // namespace gqos

@@ -185,19 +185,6 @@ ResultCache::load()
     quarantined_ = 0;
     FileLock lock(path_);
 
-    // Artifact sidecar: advisory "key<TAB>value" lines; malformed
-    // lines are skipped, the last write for a key wins.
-    {
-        std::ifstream meta(path_ + ".meta");
-        std::string line;
-        while (meta && std::getline(meta, line)) {
-            auto tab = line.find('\t');
-            if (tab == std::string::npos || tab == 0)
-                continue;
-            artifacts_[line.substr(0, tab)] = line.substr(tab + 1);
-        }
-    }
-
     std::ifstream in(path_);
     if (!in)
         return;
@@ -234,6 +221,7 @@ ResultCache::load()
             continue;
         }
         good.push_back(line);
+        loaded_.insert(key);
         entries_[key] = std::move(c);
     }
     in.close();
@@ -299,6 +287,7 @@ ResultCache::insert(const std::string &key, const CachedCase &c)
 
     std::lock_guard<std::mutex> guard(mutex_);
     entries_[key] = c;
+    loaded_.erase(key);
     if (drop_append)
         return;
     pending_.push_back(std::move(line));
@@ -355,31 +344,11 @@ ResultCache::size() const
     return entries_.size();
 }
 
-void
-ResultCache::noteArtifact(const std::string &key,
-                          const std::string &value)
-{
-    if (key.find('\t') != std::string::npos ||
-        key.find('\n') != std::string::npos ||
-        value.find('\n') != std::string::npos) {
-        gqos_warn("artifact note for '%s' contains separator "
-                  "characters; not recorded", key.c_str());
-        return;
-    }
-    std::lock_guard<std::mutex> guard(mutex_);
-    artifacts_[key] = value;
-    FileLock lock(path_);
-    std::ofstream meta(path_ + ".meta", std::ios::app);
-    if (meta)
-        meta << key << '\t' << value << '\n';
-}
-
-std::string
-ResultCache::artifact(const std::string &key) const
+bool
+ResultCache::loadedFromFile(const std::string &key) const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    auto it = artifacts_.find(key);
-    return it == artifacts_.end() ? "" : it->second;
+    return loaded_.count(key) != 0;
 }
 
 } // namespace gqos

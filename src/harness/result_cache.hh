@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -86,16 +87,10 @@ class ResultCache
     void flush();
 
     /**
-     * Record where an artifact of case @p key went (e.g. the trace
-     * file a simulation wrote), in the metadata sidecar <path>.meta.
-     * Kept out of the cache file itself so the CRC-sealed result
-     * lines stay byte-identical whether or not tracing was on.
+     * True if @p key's entry was read from the file when it was
+     * opened, and not inserted by this process since.
      */
-    void noteArtifact(const std::string &key,
-                      const std::string &value);
-
-    /** Artifact recorded for case @p key ("" if none). */
-    std::string artifact(const std::string &key) const;
+    bool loadedFromFile(const std::string &key) const;
 
     const std::string &path() const { return path_; }
 
@@ -124,8 +119,8 @@ class ResultCache
     mutable std::mutex mutex_;
     std::map<std::string, CachedCase> entries_;
     std::vector<std::string> pending_;
-    /** key -> artifact, mirrored in the .meta sidecar file. */
-    std::map<std::string, std::string> artifacts_;
+    /** Keys of the entries load() read from the file. */
+    std::set<std::string> loaded_;
     int quarantined_ = 0;
 };
 

@@ -40,8 +40,11 @@ class MetricsRegistry;
  *      "cycle_breakdown" (cycle-attribution profiler)
  *   3: "metrics" loses its always-empty "gauges" and "histograms"
  *      sections
+ *   4: "metrics" loses its "samples" section (the harness wall-time
+ *      samples repeated each case's "wall_sec" and each sweep's
+ *      "elapsed_sec")
  */
-constexpr int reportSchemaVersion = 3;
+constexpr int reportSchemaVersion = 4;
 
 /** One top-level harness case: identity, host time and result. */
 struct ReportCase
@@ -53,7 +56,8 @@ struct ReportCase
     double wallSec = 0.0;  //!< run() wall time (incl. baselines)
     /** Simulated cycles per second (0 for cache hits). */
     double simCyclesPerSec = 0.0;
-    /** Trace artifact of this case ("" when untraced). */
+    /** Trace file holding this case's records ("" when untraced,
+     *  or when served from an entry read from the cache file). */
     std::string tracePath;
     /** Per-kernel cycle attribution summed over SMs (empty when the
      *  profiler was off or the case came from the cache). */

@@ -143,7 +143,8 @@ Runner::caseKey(const std::vector<std::string> &kernels,
 }
 
 Result<CachedCase>
-Runner::simulate(const std::vector<std::string> &kernels,
+Runner::simulate(const std::string &key,
+                 const std::vector<std::string> &kernels,
                  const std::vector<double> &goal_frac,
                  const std::string &policy, ReportCase &measured)
 {
@@ -181,8 +182,8 @@ Runner::simulate(const std::vector<std::string> &kernels,
     // stays attributable; the proxy must outlive the run loop.
     std::unique_ptr<CaseLabelingSink> case_sink;
     if (opts_.traceSink) {
-        case_sink = std::make_unique<CaseLabelingSink>(
-            opts_.traceSink, caseKey(kernels, goal_frac, policy));
+        case_sink =
+            std::make_unique<CaseLabelingSink>(opts_.traceSink, key);
         traceSmSlices(gpu, case_sink.get());
     }
     if (case_sink || opts_.metrics) {
@@ -220,7 +221,7 @@ Runner::simulate(const std::vector<std::string> &kernels,
             "case '%s' retired no instruction for %llu "
             "cycles (at cycle %llu) with live warps; "
             "aborting the case",
-            caseKey(kernels, goal_frac, policy).c_str(),
+            key.c_str(),
             static_cast<unsigned long long>(engine.stallWindow()),
             static_cast<unsigned long long>(gpu.now()));
     }
@@ -258,11 +259,7 @@ Runner::simulate(const std::vector<std::string> &kernels,
         opts_.metrics->counter("engine.sm_skipped_cycles")
             .inc(gpu.smSkippedCycles());
     }
-    if (opts_.verbose) {
-        gqos_inform("simulated %s [%d done]",
-                    caseKey(kernels, goal_frac, policy).c_str(),
-                    simulated_);
-    }
+    gqos_debug("simulated %s [%d done]", key.c_str(), simulated_);
     return out;
 }
 
@@ -319,37 +316,27 @@ Runner::runCase(const std::vector<std::string> &kernels,
     CachedCase c;
     bool from_cache = cache_ && cache_->lookup(key, c) &&
                       c.ipc.size() == kernels.size();
+    // Only an entry read from the cache file skips a simulation this
+    // process could have traced; one simulated here already wrote
+    // its records to the shared sink.
+    const bool untraced_hit = from_cache && opts_.traceSink &&
+                              cache_->loadedFromFile(key);
     if (!from_cache) {
-        Result<CachedCase> sim = simulate(kernels, goal_frac,
+        Result<CachedCase> sim = simulate(key, kernels, goal_frac,
                                           policy, rc);
         if (!sim.ok())
             return sim.error();
         c = std::move(sim).value();
-        if (cache_) {
+        if (cache_)
             cache_->insert(key, c);
-            if (opts_.traceSink && !opts_.tracePath.empty())
-                cache_->noteArtifact(key, opts_.tracePath);
-        }
-    } else {
-        if (opts_.metrics)
-            opts_.metrics->counter("harness.cache_hits").inc();
-        if (opts_.traceSink) {
-            // A hit skips the simulation, so nothing lands in the
-            // requested trace. Point at the recorded artifact of
-            // the run that produced the entry, if any.
-            std::string prev =
-                cache_ ? cache_->artifact(key) : "";
-            if (!warnedTraceBypass_) {
-                warnedTraceBypass_ = true;
-                gqos_warn("cache hit for '%s' bypasses the "
-                          "requested trace%s%s; rerun with the "
-                          "cache disabled to re-trace cached cases",
-                          key.c_str(),
-                          prev.empty() ? ""
-                                       : " (earlier trace: ",
-                          prev.empty() ? "" : (prev + ")").c_str());
-            }
-        }
+    } else if (opts_.metrics) {
+        opts_.metrics->counter("harness.cache_hits").inc();
+    }
+    if (untraced_hit && !warnedTraceBypass_) {
+        warnedTraceBypass_ = true;
+        gqos_warn("cache hit for '%s' bypasses the requested trace; "
+                  "rerun with the cache disabled to re-trace cached "
+                  "cases", key.c_str());
     }
 
     CaseResult result;
@@ -383,16 +370,9 @@ Runner::runCase(const std::vector<std::string> &kernels,
         rc.engine = toString(opts_.engine);
         rc.wallSec = std::chrono::duration<double>(
             std::chrono::steady_clock::now() - t0).count();
-        if (opts_.traceSink) {
-            rc.tracePath = from_cache && cache_
-                ? cache_->artifact(key)
-                : opts_.tracePath;
-        }
+        if (opts_.traceSink && !untraced_hit)
+            rc.tracePath = opts_.tracePath;
         rc.result = result;
-        if (opts_.metrics) {
-            opts_.metrics->observe("harness.case_wall_sec",
-                                   rc.wallSec);
-        }
         report->addCase(std::move(rc));
     }
     return result;

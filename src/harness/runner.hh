@@ -120,7 +120,6 @@ class Runner
         std::string configName = "default"; //!< or "large"
         std::string cacheDir = ".qos_cache";
         bool useCache = true;
-        bool verbose = false;
         /** Make partial context switches free (Section 4.8). */
         bool freePreemption = false;
         /**
@@ -142,7 +141,7 @@ class Runner
          * no tracing. Tracing never changes simulation results.
          */
         TraceSink *traceSink = nullptr;
-        /** Where traceSink writes, recorded in reports/cache meta. */
+        /** Where traceSink writes, recorded in reports. */
         std::string tracePath;
         /** Registry for qos.* / harness.* metrics (null = off). */
         MetricsRegistry *metrics = nullptr;
@@ -193,13 +192,6 @@ class Runner
     /** Cases simulated (not served from cache) so far. */
     int simulatedCases() const { return simulated_; }
 
-    /** Cache lines quarantined while loading the cache file. */
-    int
-    quarantinedLines() const
-    {
-        return cache_ ? cache_->quarantinedLines() : 0;
-    }
-
     /** On-disk cache file backing this runner ("" if disabled). */
     const std::string &cachePath() const { return cachePath_; }
 
@@ -208,9 +200,6 @@ class Runner
     {
         return cache_;
     }
-
-    /** Header line expected at the top of every cache file. */
-    static constexpr const char *cacheHeader = ResultCache::header;
 
   private:
     Runner(Options opts, GpuConfig cfg,
@@ -231,12 +220,12 @@ class Runner
                                RunReport *report);
 
     /**
-     * Simulate one case. Also writes what the run measured on the
+     * Simulate case @p key. Also writes what the run measured on the
      * host and profiler side — simulated cycles per second and the
      * per-kernel cycle breakdowns — into @p measured.
      */
     Result<CachedCase> simulate(
-        const std::vector<std::string> &kernels,
+        const std::string &key, const std::vector<std::string> &kernels,
         const std::vector<double> &goal_frac,
         const std::string &policy, ReportCase &measured);
 

@@ -2,14 +2,13 @@
  * @file
  * Sweep-executor implementation.
  *
- * Structure: the case list is mapped onto *contexts* (one per
- * distinct GPU configuration, each with its own shared ResultCache),
- * then executed in two phases — isolated-baseline warm-up and the
- * cases themselves — by a fixed pool of workers that pop a shared
- * atomic cursor. Because the cursor is popped in submission order,
- * the first error recorded with the lowest submission priority is
- * exactly the error the sequential path would have hit first, which
- * keeps failure reporting deterministic under any job count.
+ * Structure: a sweep runs in two phases — isolated-baseline warm-up
+ * and the cases themselves — executed by a fixed pool of workers
+ * that pop a shared atomic cursor. Because the cursor is popped in
+ * submission order, the first error recorded with the lowest
+ * submission priority is exactly the error the sequential path
+ * would have hit first, which keeps failure reporting deterministic
+ * under any job count.
  */
 
 #include "harness/sweep.hh"
@@ -20,7 +19,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -45,20 +43,6 @@ namespace
  */
 constexpr std::uint64_t baselineScopeBase = 1ull << 63;
 
-/** One distinct GPU configuration a sweep touches. */
-struct SweepContext
-{
-    Runner::Options options;
-    std::shared_ptr<ResultCache> cache; //!< null when caching is off
-};
-
-/** An isolated-baseline warm-up job. */
-struct BaselineJob
-{
-    std::size_t ctx;
-    std::string kernel;
-};
-
 std::string
 formatGoal(double goal)
 {
@@ -78,8 +62,6 @@ SweepCase::describe() const
         os << "|" << kernels[i] << ":"
            << (i < goals.size() ? formatGoal(goals[i]) : "?");
     }
-    if (!config.empty())
-        os << "@" << config;
     return os.str();
 }
 
@@ -108,50 +90,33 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
     const std::uint64_t faultsBefore =
         FaultInjector::instance().totalInjected();
 
-    // ---- contexts: one per distinct GPU configuration ----
-    std::vector<SweepContext> contexts;
-    contexts.push_back({runner.options(), runner.sharedCache()});
-    std::map<std::string, std::size_t> contextByConfig;
-    contextByConfig[runner.options().configName] = 0;
-    std::vector<std::size_t> caseContext(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::string &cfg = cases[i].config;
-        if (cfg.empty())
-            continue;
-        auto [it, fresh] =
-            contextByConfig.try_emplace(cfg, contexts.size());
-        if (fresh) {
-            Runner::Options o = runner.options();
-            o.configName = cfg;
-            // The probe validates the config name and opens (or
-            // creates) that configuration's cache exactly once.
-            Result<Runner> probe = Runner::make(o);
-            if (!probe.ok()) {
-                return Error::format(
-                    probe.error().code(),
-                    "sweep case %zu/%zu (%s): %s", i + 1, n,
-                    cases[i].describe().c_str(),
-                    probe.error().message().c_str());
-            }
-            contexts.push_back(
-                {std::move(o), probe.value().sharedCache()});
-        }
-        caseContext[i] = it->second;
-    }
-
-    // ---- baseline warm-up jobs (cached contexts only) ----
+    // ---- baseline warm-up jobs (cached runs only) ----
     // Computing every referenced kernel's isolated IPC up front
     // means concurrent case workers always hit the shared cache for
     // baselines instead of racing to simulate the same one twice.
-    std::vector<BaselineJob> baselines;
-    std::set<std::pair<std::size_t, std::string>> seen;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!contexts[caseContext[i]].cache)
-            continue;
-        for (const std::string &kernel : cases[i].kernels) {
-            if (seen.emplace(caseContext[i], kernel).second)
-                baselines.push_back({caseContext[i], kernel});
+    const std::shared_ptr<ResultCache> cache = runner.sharedCache();
+    std::vector<std::string> baselines;
+    if (cache) {
+        std::set<std::string> seen;
+        for (const SweepCase &c : cases) {
+            for (const std::string &kernel : c.kernels) {
+                if (seen.insert(kernel).second)
+                    baselines.push_back(kernel);
+            }
         }
+    }
+
+    // ---- worker runners: the caller's options and cache ----
+    // One job runs inline on the caller's Runner, the classic
+    // sequential path; more jobs give each worker thread its own.
+    const std::size_t maxWorkers =
+        std::min<std::size_t>(jobs, std::max(baselines.size(), n));
+    std::vector<Runner> workerRunners;
+    for (std::size_t w = 0; maxWorkers > 1 && w < maxWorkers; ++w) {
+        Result<Runner> r = Runner::make(runner.options(), cache);
+        if (!r.ok())
+            return r.error();
+        workerRunners.push_back(std::move(r).value());
     }
 
     // ---- shared execution state ----
@@ -193,12 +158,12 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
     auto runBaseline = [&](Runner &r,
                            std::size_t j) -> Result<void> {
         FaultInjector::instance().beginScope(baselineScopeBase + j);
-        Result<double> iso = r.isolatedIpc(baselines[j].kernel);
+        Result<double> iso = r.isolatedIpc(baselines[j]);
         if (!iso.ok()) {
             return Error::format(
                 iso.error().code(),
                 "isolated baseline for kernel '%s': %s",
-                baselines[j].kernel.c_str(),
+                baselines[j].c_str(),
                 iso.error().message().c_str());
         }
         return {};
@@ -224,87 +189,50 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
         return {};
     };
 
-    // Worker runners for non-default contexts on the calling thread
-    // persist across phases (the jobs == 1 path).
-    std::vector<std::optional<Runner>> inlineRunners(
-        contexts.size());
-
     /**
      * Pop-and-run @p count items of one phase. Workers pop the
-     * shared cursor (submission order), resolve the item's context
-     * to a thread-local Runner, and run @p work. With one job the
-     * loop runs inline on the calling thread and context 0 resolves
-     * to the caller's own Runner — the classic sequential path.
+     * shared cursor (submission order) and run @p work on their own
+     * Runner; with one worker the loop runs inline on the caller's.
      */
-    auto runPhase = [&](std::size_t count, auto &&contextOf,
-                        auto &&work, std::size_t priorityBase) {
+    auto runPhase = [&](std::size_t count, auto &&work,
+                        std::size_t priorityBase) {
         if (count == 0 || abort.load(std::memory_order_relaxed))
             return;
         cursor.store(0);
-        auto loop = [&](std::vector<std::optional<Runner>> &slots,
-                        Runner *inlineRunner) {
+        auto loop = [&](Runner &r) {
             for (;;) {
                 if (abort.load(std::memory_order_relaxed))
                     break;
                 std::size_t i = cursor.fetch_add(1);
                 if (i >= count)
                     break;
-                std::size_t ctx = contextOf(i);
-                Runner *r = nullptr;
-                if (inlineRunner && ctx == 0) {
-                    r = inlineRunner;
-                } else {
-                    if (!slots[ctx]) {
-                        Result<Runner> mr = Runner::make(
-                            contexts[ctx].options,
-                            contexts[ctx].cache);
-                        if (!mr.ok()) {
-                            recordError(priorityBase + i,
-                                        mr.error());
-                            continue;
-                        }
-                        slots[ctx].emplace(std::move(mr).value());
-                    }
-                    r = &*slots[ctx];
-                }
-                Result<void> w = work(*r, i);
+                Result<void> w = work(r, i);
                 if (!w.ok())
                     recordError(priorityBase + i, w.error());
             }
         };
 
-        int workers = static_cast<int>(
-            std::min<std::size_t>(jobs, count));
+        std::size_t workers = std::min<std::size_t>(jobs, count);
         if (workers <= 1) {
-            loop(inlineRunners, &runner);
+            loop(runner);
             return;
         }
         std::vector<std::thread> pool;
         pool.reserve(workers);
-        for (int w = 0; w < workers; ++w) {
-            pool.emplace_back([&] {
-                std::vector<std::optional<Runner>> slots(
-                    contexts.size());
-                loop(slots, nullptr);
-            });
-        }
+        for (std::size_t w = 0; w < workers; ++w)
+            pool.emplace_back([&, w] { loop(workerRunners[w]); });
         for (std::thread &t : pool)
             t.join();
     };
 
-    runPhase(baselines.size(),
-             [&](std::size_t j) { return baselines[j].ctx; },
-             runBaseline, 0);
-    runPhase(n, [&](std::size_t i) { return caseContext[i]; },
-             runOneCase, baselines.size());
+    runPhase(baselines.size(), runBaseline, 0);
+    runPhase(n, runOneCase, baselines.size());
 
     // Make everything computed so far durable in one batch flush;
     // after this, at most nothing is pending — a later crash cannot
     // lose sweep results.
-    for (const SweepContext &ctx : contexts) {
-        if (ctx.cache)
-            ctx.cache->flush();
-    }
+    if (cache)
+        cache->flush();
 
     SweepStats summary;
     summary.total = n;
@@ -326,8 +254,6 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
         metrics->counter("harness.sweep_cases").inc(n);
         metrics->counter("harness.sweep_cache_hits")
             .inc(summary.cacheHits);
-        metrics->observe("harness.sweep_wall_sec",
-                         summary.elapsedSec);
     }
     if (opts.progress) {
         std::fprintf(stderr,

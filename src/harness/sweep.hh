@@ -5,8 +5,8 @@
  * Every figure bench walks an embarrassingly parallel space of
  * independent (kernels, goals, policy) cases. runSweep() fans a
  * submitted case vector across a fixed-size pool of worker threads
- * — each worker owning its own Runner, all workers sharing one
- * thread-safe ResultCache per configuration — and returns results
+ * — each worker owning its own Runner, all workers sharing the
+ * caller's thread-safe ResultCache — and returns results
  * in *submission order* regardless of completion order, so a
  * bench's printed output is byte-identical whatever --jobs is.
  *
@@ -47,14 +47,8 @@ struct SweepCase
     std::vector<std::string> kernels;
     std::vector<double> goals;   //!< per-kernel fraction; 0 non-QoS
     std::string policy;
-    /**
-     * GPU configuration name; "" inherits the sweep Runner's
-     * configuration. A non-empty name runs the case on that
-     * configuration (own isolated baselines, own cache file).
-     */
-    std::string config;
 
-    /** "policy|k0:g0|k1:g1[@config]" — for errors and logs. */
+    /** "policy|k0:g0|k1:g1" — for errors and logs. */
     std::string describe() const;
 };
 
@@ -85,9 +79,9 @@ int defaultSweepJobs();
 
 /**
  * Run @p cases and return their results in submission order.
- * @p runner provides the options every case inherits (and runs the
- * cases itself when one job is used). On failure the error names
- * the first failing case by submission index and identity.
+ * Every case runs on @p runner's configuration and cache; @p runner
+ * runs the cases itself when one job is used. On failure the error
+ * names the first failing case by submission index and identity.
  */
 Result<std::vector<CaseResult>>
 runSweep(Runner &runner, const std::vector<SweepCase> &cases,

@@ -24,7 +24,7 @@ makePolicy(const std::string &scheme, std::vector<QosSpec> specs,
     if (scheme == "spart") {
         return std::unique_ptr<SharingPolicy>(
             std::make_unique<SpartPolicy>(
-                std::move(specs), SpartOptions{}, cfg.epochLength));
+                std::move(specs), cfg.epochLength));
     }
 
     FineGrainOptions opts;

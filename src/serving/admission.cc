@@ -11,6 +11,18 @@
 namespace gqos
 {
 
+namespace
+{
+
+/** Backlog fractions (of aggregate queue capacity) at which the
+ *  ladder steps up to L1 / L2 / L3; index 0 is a sentinel. */
+constexpr double upFrac[4] = {-1.0, 0.50, 0.75, 0.95};
+/** Hysteresis subtracted from a threshold when stepping back down,
+ *  as a backlog fraction. */
+constexpr double downHysteresis = 0.10;
+
+} // anonymous namespace
+
 const char *
 toString(AdmitOutcome o)
 {
@@ -28,9 +40,8 @@ toString(AdmitOutcome o)
 }
 
 AdmissionController::AdmissionController(
-    std::vector<TenantSpec> tenants, Options opts)
-    : tenants_(std::move(tenants)), opts_(opts),
-      queues_(tenants_.size())
+    std::vector<TenantSpec> tenants)
+    : tenants_(std::move(tenants)), queues_(tenants_.size())
 {
     for (const TenantSpec &t : tenants_)
         capTotal_ += t.queueCap;
@@ -124,15 +135,13 @@ AdmissionController::updateLevel()
 {
     const double frac = static_cast<double>(totalBacklog()) /
                         static_cast<double>(capTotal_);
-    const double up[4] = {-1.0, opts_.l1Frac, opts_.l2Frac,
-                          opts_.l3Frac};
     int next = level_;
-    while (next < 3 && frac >= up[next + 1])
+    while (next < 3 && frac >= upFrac[next + 1])
         ++next;
     // Step down only once the backlog clears the hysteresis band
     // below the level's own threshold, so a backlog hovering at a
     // boundary cannot flap the ladder every tick.
-    while (next > 0 && frac < up[next] - opts_.downHysteresis)
+    while (next > 0 && frac < upFrac[next] - downHysteresis)
         --next;
     if (next == level_)
         return false;

@@ -6,8 +6,9 @@
  * decides, per arrival, whether the request enters its queue, and
  * per dispatch opportunity, whether a queued request may start.
  * Decisions follow a four-level degradation ladder driven by the
- * aggregate queue backlog (with hysteresis so the level does not
- * flap at a threshold):
+ * aggregate queue backlog: the ladder steps up at 50% / 75% / 95%
+ * of aggregate queue capacity and back down 10% below each
+ * threshold (hysteresis, so the level does not flap):
  *
  *   L0 normal    admit everything that fits its queue
  *   L1 pressure  shed BestEffort arrivals
@@ -66,20 +67,7 @@ struct QueuedRequest
 class AdmissionController
 {
   public:
-    struct Options
-    {
-        /** Backlog fractions (of aggregate queue capacity) at which
-         *  the ladder steps up to L1 / L2 / L3. */
-        double l1Frac = 0.50;
-        double l2Frac = 0.75;
-        double l3Frac = 0.95;
-        /** Hysteresis subtracted from a threshold when stepping
-         *  back down, as a backlog fraction. */
-        double downHysteresis = 0.10;
-    };
-
-    AdmissionController(std::vector<TenantSpec> tenants,
-                        Options opts);
+    explicit AdmissionController(std::vector<TenantSpec> tenants);
 
     /**
      * Decide one arrival. @p projected_service is the tenant's
@@ -127,7 +115,6 @@ class AdmissionController
     bool guaranteedBacklogged() const;
 
     std::vector<TenantSpec> tenants_;
-    Options opts_;
     std::vector<std::deque<QueuedRequest>> queues_;
     std::size_t capTotal_ = 0;
     int level_ = 0;

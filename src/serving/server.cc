@@ -12,6 +12,7 @@
 #include "common/metrics.hh"
 #include "gpu/gpu.hh"
 #include "policy/policy_factory.hh"
+#include "serving/admission.hh"
 #include "telemetry/trace.hh"
 
 namespace gqos
@@ -22,6 +23,10 @@ namespace
 
 /** Default per-tenant stall window when --watchdog-ms is unset. */
 constexpr Cycle defaultStallWindow = 500000;
+/** Isolated-baseline run length per tenant kernel, cycles. */
+constexpr Cycle baselineCycles = 20000;
+/** EWMA weight of the newest service-time observation. */
+constexpr double ewmaAlpha = 0.25;
 
 /** Nearest-rank percentile of an already-sorted latency vector. */
 Cycle
@@ -44,7 +49,7 @@ percentile(const std::vector<Cycle> &sorted, int pct)
  */
 Result<double>
 isolatedBaseline(const KernelDesc &desc, const GpuConfig &cfg,
-                 EngineKind kind, Cycle cycles)
+                 EngineKind kind)
 {
     auto policy =
         makePolicy("even", {QosSpec::nonQos()}, cfg);
@@ -54,7 +59,7 @@ isolatedBaseline(const KernelDesc &desc, const GpuConfig &cfg,
     gpu.launch({&desc});
     policy.value()->onLaunch(gpu);
     SimEngine engine(kind, defaultStallWindow);
-    if (engine.runUntil(gpu, *policy.value(), cycles)) {
+    if (engine.runUntil(gpu, *policy.value(), baselineCycles)) {
         return Error::format(ErrorCode::Stalled,
                              "isolated baseline of '%s' stalled at "
                              "cycle %llu",
@@ -93,11 +98,6 @@ ServingDriver::make(std::vector<TenantSpec> tenants,
         return Error(ErrorCode::InvalidArgument,
                      "serving tick must be >= 1 cycle");
     }
-    if (opts.ewmaAlpha <= 0.0 || opts.ewmaAlpha > 1.0) {
-        return Error::format(ErrorCode::InvalidArgument,
-                             "EWMA alpha %g out of (0, 1]",
-                             opts.ewmaAlpha);
-    }
     auto cfg = configByName(opts.configName);
     if (!cfg.ok())
         return cfg.error();
@@ -124,8 +124,7 @@ ServingDriver::make(std::vector<TenantSpec> tenants,
     }
     for (const KernelDesc &d : driver->descs_) {
         auto ipc = isolatedBaseline(d, driver->cfg_,
-                                    driver->opts_.engine,
-                                    driver->opts_.baselineCycles);
+                                    driver->opts_.engine);
         if (!ipc.ok())
             return ipc.error();
         driver->isolatedIpc_.push_back(ipc.value());
@@ -194,7 +193,7 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
     policy.onLaunch(gpu);
 
     SimEngine engine(opts_.engine, stallWindow);
-    AdmissionController admission(tenants_, opts_.admission);
+    AdmissionController admission(tenants_);
 
     struct TState
     {
@@ -256,9 +255,8 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
             ts[t].ewmaService =
                 ts[t].ewmaService == 0.0
                     ? static_cast<double>(service)
-                    : (1.0 - opts_.ewmaAlpha) * ts[t].ewmaService +
-                          opts_.ewmaAlpha *
-                              static_cast<double>(service);
+                    : (1.0 - ewmaAlpha) * ts[t].ewmaService +
+                          ewmaAlpha * static_cast<double>(service);
             ts[t].latencies.push_back(latency);
             TenantServingStats &st = report.tenants[t];
             st.completed++;

@@ -35,7 +35,6 @@
 #include "arch/gpu_config.hh"
 #include "common/result.hh"
 #include "engine/sim_engine.hh"
-#include "serving/admission.hh"
 #include "serving/arrival.hh"
 #include "serving/tenant.hh"
 #include "telemetry/cycle_accounting.hh"
@@ -63,15 +62,10 @@ struct ServingOptions
      * window of 500k cycles.
      */
     double watchdogMs = 0.0;
-    /** Isolated-baseline run length per tenant kernel, cycles. */
-    Cycle baselineCycles = 20000;
-    /** EWMA weight of the newest service-time observation. */
-    double ewmaAlpha = 0.25;
     /** Case label stamped on every trace record. */
     std::string caseKey;
     /** Optional counters ("serving.*"); may be null. */
     MetricsRegistry *metrics = nullptr;
-    AdmissionController::Options admission;
 };
 
 /** Per-tenant outcome of a serving run. */

@@ -478,8 +478,7 @@ TEST(EngineDifferentialSmkFair, BitIdenticalWithoutHarness)
     auto run_kind = [&](EngineKind kind) {
         Gpu gpu(cfg);
         gpu.launch({&dc, &dm});
-        SmkFairPolicy pol({250.0, 900.0}, SmkFairOptions{},
-                          cfg.epochLength);
+        SmkFairPolicy pol({250.0, 900.0}, cfg.epochLength);
         pol.onLaunch(gpu);
         SimEngine engine(kind, cfg.epochLength);
         EXPECT_FALSE(engine.runUntil(gpu, pol, 80000));

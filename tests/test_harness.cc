@@ -166,7 +166,7 @@ TEST_F(HarnessFixture, BitFlippedLineIsQuarantinedAndResimulated)
     writeLines(path, lines);
 
     Runner runner = makeRunner();
-    EXPECT_EQ(runner.quarantinedLines(), 1);
+    EXPECT_EQ(runner.sharedCache()->quarantinedLines(), 1);
     EXPECT_TRUE(std::filesystem::exists(path + ".quarantine"));
     CaseResult r = runner.run({"sgemm", "lbm"}, {0.5, 0.0},
                               "rollover").value();
@@ -204,7 +204,7 @@ TEST_F(HarnessFixture, TruncatedLineIsQuarantinedOthersSurvive)
     writeLines(path, lines);
 
     Runner runner = makeRunner();
-    EXPECT_EQ(runner.quarantinedLines(), 1);
+    EXPECT_EQ(runner.sharedCache()->quarantinedLines(), 1);
     // The intact lines must still be served from cache.
     EXPECT_EQ(runner.simulatedCases(), 0);
     int cached = 0;
@@ -247,7 +247,7 @@ TEST_F(HarnessFixture, VersionMismatchRetiresWholeFile)
     // And the rebuilt file carries the current header again.
     auto rebuilt = readLines(path);
     ASSERT_FALSE(rebuilt.empty());
-    EXPECT_EQ(rebuilt[0], Runner::cacheHeader);
+    EXPECT_EQ(rebuilt[0], ResultCache::header);
 }
 
 TEST_F(HarnessFixture, CacheRoundTripIsBitExact)

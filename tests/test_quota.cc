@@ -64,7 +64,7 @@ TEST_F(QuotaFixture, GatingIsEnabledOnLaunch)
     for (int s = 0; s < gpu->numSms(); ++s)
         total += gpu->sm(s).quota(0);
     EXPECT_NEAR(total,
-                500.0 * QuotaOptions().goalMargin *
+                500.0 * QuotaController::goalMargin *
                     cfg.epochLength, 1.0);
 }
 
@@ -115,7 +115,7 @@ TEST_F(QuotaFixture, NonQosGoalGrowsWithRefills)
                        QuotaOptions{}, cfg.epochLength);
     qc.onLaunch(*gpu);
     EXPECT_DOUBLE_EQ(qc.nonQosGoal(1),
-                     QuotaOptions().nonQosInitialIpc);
+                     QuotaController::nonQosInitialIpc);
     drive(*gpu, qc, 100000);
     // The QoS kernel exhausts its small quota; refills let the
     // non-QoS kernel run, and the goal search follows its real IPC.

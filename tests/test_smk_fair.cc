@@ -46,8 +46,7 @@ TEST_F(FairFixture, EqualizesSlowdowns)
 
     Gpu gpu(cfg);
     gpu.launch({&a, &b});
-    SmkFairPolicy fair({iso_a, iso_b}, SmkFairOptions{},
-                       cfg.epochLength);
+    SmkFairPolicy fair({iso_a, iso_b}, cfg.epochLength);
     fair.onLaunch(gpu);
     test::drive(gpu, fair, 30 * cfg.epochLength);
 
@@ -70,8 +69,7 @@ TEST_F(FairFixture, UnmanagedSharingIsLessFair)
     auto progress_gap = [&](bool managed) {
         Gpu gpu(cfg);
         gpu.launch({&a, &b});
-        SmkFairPolicy fair({iso_a, iso_b}, SmkFairOptions{},
-                           cfg.epochLength);
+        SmkFairPolicy fair({iso_a, iso_b}, cfg.epochLength);
         fair.onLaunch(gpu);
         if (!managed)
             gpu.setQuotaGatingAll(false); // plain even sharing
@@ -83,15 +81,14 @@ TEST_F(FairFixture, UnmanagedSharingIsLessFair)
 
 TEST_F(FairFixture, FairnessIndexPerfectWhenEqual)
 {
-    SmkFairPolicy fair({100.0, 100.0}, SmkFairOptions{}, 10000);
+    SmkFairPolicy fair({100.0, 100.0}, 10000);
     // Before any epoch completes, progress is all-zero => index 1.
     EXPECT_DOUBLE_EQ(fair.fairnessIndex(), 1.0);
 }
 
 TEST(SmkFairDeath, RejectsNonPositiveBaselines)
 {
-    EXPECT_EXIT(SmkFairPolicy({100.0, 0.0}, SmkFairOptions{},
-                              10000),
+    EXPECT_EXIT(SmkFairPolicy({100.0, 0.0}, 10000),
                 ::testing::ExitedWithCode(1), "");
 }
 

@@ -20,6 +20,7 @@
 #include "harness/result_cache.hh"
 #include "harness/run_report.hh"
 #include "harness/sweep.hh"
+#include "telemetry/trace.hh"
 
 namespace gqos
 {
@@ -56,12 +57,12 @@ struct SweepFixture : public ::testing::Test
     standardCases()
     {
         return {
-            {{"sgemm", "lbm"}, {0.5, 0.0}, "rollover", ""},
-            {{"sgemm", "lbm"}, {0.7, 0.0}, "rollover", ""},
-            {{"lbm", "sgemm"}, {0.6, 0.0}, "rollover", ""},
-            {{"sgemm", "lbm"}, {0.0, 0.0}, "even", ""},
-            {{"sgemm", "lbm"}, {0.5, 0.0}, "spart", ""},
-            {{"lbm", "sgemm"}, {0.0, 0.0}, "even", ""},
+            {{"sgemm", "lbm"}, {0.5, 0.0}, "rollover"},
+            {{"sgemm", "lbm"}, {0.7, 0.0}, "rollover"},
+            {{"lbm", "sgemm"}, {0.6, 0.0}, "rollover"},
+            {{"sgemm", "lbm"}, {0.0, 0.0}, "even"},
+            {{"sgemm", "lbm"}, {0.5, 0.0}, "spart"},
+            {{"lbm", "sgemm"}, {0.0, 0.0}, "even"},
         };
     }
 
@@ -192,7 +193,7 @@ TEST_F(SweepFixture, SharedCacheFileRoundTrips)
 
     Runner::Options opts = makeOptions("shared");
     Runner probe = Runner::make(opts).value();
-    EXPECT_EQ(probe.quarantinedLines(), 0);
+    EXPECT_EQ(probe.sharedCache()->quarantinedLines(), 0);
 
     // Every non-header line must parse and re-validate its CRC.
     std::ifstream in(probe.cachePath());
@@ -272,16 +273,67 @@ TEST_F(SweepFixture, FaultSweepIsIdenticalAcrossJobCounts)
 }
 
 // ---------------------------------------------------------------
+// (v) A traced sweep warns that a cache hit bypasses the trace only
+// for entries read from the cache file: a baseline simulated by
+// another worker of the same sweep is already in the trace.
+// ---------------------------------------------------------------
+
+TEST_F(SweepFixture, TraceBypassWarnsOnlyForEntriesReadFromFile)
+{
+    std::filesystem::create_directories(base);
+    const std::string tracePath = base + "/trace.jsonl";
+    auto sink = openTraceSink(tracePath);
+    ASSERT_TRUE(sink.ok());
+    Runner::Options o = makeOptions("bypass");
+    o.traceSink = sink.value().get();
+    o.tracePath = tracePath;
+    SweepOptions so;
+    so.progress = false;
+
+    // Sweep a fresh runner; return its stderr and --stats-json.
+    auto tracedSweep = [&](int jobs, std::string &json) {
+        RunReport report;
+        o.report = &report;
+        Runner runner = Runner::make(o).value();
+        so.jobs = jobs;
+        ::testing::internal::CaptureStderr();
+        EXPECT_TRUE(runSweep(runner, standardCases(), so).ok());
+        std::string err = ::testing::internal::GetCapturedStderr();
+        std::ostringstream os;
+        report.write(os);
+        json = os.str();
+        return err;
+    };
+    auto count = [](const std::string &text, const std::string &what) {
+        int n = 0;
+        for (auto at = text.find(what); at != std::string::npos;
+             at = text.find(what, at + 1))
+            ++n;
+        return n;
+    };
+    const std::string bypass = "bypasses the requested trace";
+    const std::string untraced = "\"trace\":\"\"";
+    const std::string traced = "\"trace\":\"" + tracePath + "\"";
+
+    std::string cold_json, warm_json;
+    const std::string cold = tracedSweep(2, cold_json);
+    EXPECT_EQ(count(cold, bypass), 0) << cold;
+    EXPECT_EQ(count(cold_json, untraced), 0) << cold_json;
+
+    const std::string warm = tracedSweep(1, warm_json);
+    EXPECT_EQ(count(warm, bypass), 1) << warm;
+    EXPECT_EQ(count(warm_json, traced), 0) << warm_json;
+    EXPECT_EQ(count(warm_json, untraced), count(warm_json, "\"key\""));
+}
+
+// ---------------------------------------------------------------
 // Smaller pieces of the sweep API.
 // ---------------------------------------------------------------
 
 TEST(SweepApi, DescribeNamesPolicyKernelsGoalsAndConfig)
 {
-    SweepCase c{{"sgemm", "lbm"}, {0.5, 0.0}, "rollover", ""};
+    SweepCase c{{"sgemm", "lbm"}, {0.5, 0.0}, "rollover"};
     EXPECT_EQ(c.describe(), "rollover|sgemm:0.5000|lbm:0.0000");
-    c.config = "large";
-    EXPECT_EQ(c.describe(),
-              "rollover|sgemm:0.5000|lbm:0.0000@large");
 }
 
 TEST(SweepApi, DefaultJobsIsAtLeastOne)
@@ -305,41 +357,17 @@ TEST(SweepApi, EmptySweepSucceeds)
     EXPECT_EQ(stats.total, 0u);
 }
 
-TEST(SweepApi, UnknownConfigInCaseIsRecoverable)
-{
-    Runner::Options opts;
-    opts.useCache = false;
-    opts.cycles = 1000;
-    opts.warmupCycles = 0;
-    Runner runner = Runner::make(opts).value();
-    std::vector<SweepCase> cases = {
-        {{"sgemm"}, {0.0}, "even", "gigantic"},
-    };
-    SweepOptions so;
-    so.progress = false;
-    auto r = runSweep(runner, cases, so);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.error().code(), ErrorCode::NotFound);
-    EXPECT_NE(r.error().message().find("gigantic"),
-              std::string::npos)
-        << r.error().message();
-}
-
 /**
  * A --stats-json document without the host-time fields, which vary
- * from run to run, and without what schema 3 changed: the schema
- * version (checked on its own) and the always-empty "gauges" and
- * "histograms" sections schema 2 wrote.
+ * from run to run, and without the schema version (checked on its
+ * own).
  */
 std::string
 comparableReport(std::string json)
 {
     static const std::regex varying(
-        R"re(,"(wall_sec|sim_cycles_per_sec|elapsed_sec)":[^,}]*)re"
-        R"re(|"[a-z_.]*_wall_sec":\{[^}]*\},?)re"
-        R"re(|"(gauges|histograms)":\{\},?)re");
+        R"re(,"(wall_sec|sim_cycles_per_sec|elapsed_sec)":[^,}]*)re");
     json = std::regex_replace(json, varying, "");
-    json = std::regex_replace(json, std::regex(",\\}"), "}");
     const std::string version = "{\"schema_version\":" +
                                 std::to_string(reportSchemaVersion);
     EXPECT_EQ(json.rfind(version, 0), 0u) << json.substr(0, 40);
@@ -347,10 +375,11 @@ comparableReport(std::string json)
 }
 
 /**
- * Golden --stats-json of a tiny uncached sweep with one case on a
- * second configuration. It pins every reported number and the set of
- * reported cases: the top-level isolatedIpc() call is a case, the
- * baseline lookups nested inside each case's run() are not.
+ * Golden --stats-json of two tiny uncached sweeps, one per GPU
+ * configuration, sharing one report and registry. It pins every
+ * reported number and the set of reported cases: the top-level
+ * isolatedIpc() call is a case, the baseline lookups nested inside
+ * each case's run() are not.
  */
 TEST_F(SweepFixture, StatsJsonMatchesGolden)
 {
@@ -362,16 +391,19 @@ TEST_F(SweepFixture, StatsJsonMatchesGolden)
     o.report = &report;
     o.metrics = &metrics;
     Runner runner = Runner::make(o).value();
+    o.configName = "large";
+    Runner large = Runner::make(o).value();
     ASSERT_TRUE(runner.isolatedIpc("sgemm").ok());
     const std::vector<SweepCase> cases = {
-        {{"sgemm", "lbm"}, {0.5, 0.0}, "rollover", ""},
-        {{"sgemm", "lbm"}, {0.5, 0.0}, "rollover", "large"},
+        {{"sgemm", "lbm"}, {0.5, 0.0}, "rollover"},
     };
     SweepOptions so;
     so.jobs = 2;
     so.progress = false;
     so.label = "golden";
     ASSERT_TRUE(runSweep(runner, cases, so).ok());
+    so.label = "golden-large";
+    ASSERT_TRUE(runSweep(large, cases, so).ok());
 
     std::ostringstream os;
     report.write(os, &metrics);
@@ -412,17 +444,19 @@ TEST_F(SweepFixture, StatsJsonMatchesGolden)
         "\"inert_skipped\":84},{\"issued\":561,\"quota_gated\":1069996,"
         "\"mem_stall\":0,\"no_ready_warp\":1801,\"drain_preempt\":32755"
         "8,\"inert_skipped\":84}]}],\"sweeps\":[{\"label\":\"golden\","
-        "\"total\":2,\"cache_hits\":0,\"jobs\":2,\"faults_injected\":0,"
-        "\"faults_recovered\":0}],\"serving\":[],\"metrics\":{\"counter"
+        "\"total\":1,\"cache_hits\":0,\"jobs\":1,\"faults_injected\":0,"
+        "\"faults_recovered\":0},{\"label\":\"golden-large\",\"total\":1"
+        ",\"cache_hits\":0,\"jobs\":1,\"faults_injected\":0,\"faults_re"
+        "covered\":0}],\"serving\":[],\"metrics\":{\"counter"
         "s\":{\"cycles.drain_preempt\":388625,\"cycles.inert_skipped\":"
         "448,\"cycles.issued\":4681711,\"cycles.mem_stall\":1616283,\"c"
         "ycles.no_ready_warp\":1304908,\"cycles.quota_gated\":1408025,"
         "\"engine.control_points\":0,\"engine.skipped_cycles\":1365,\"e"
         "ngine.sm_skipped_cycles\":2109258,\"engine.stepped_cycles\":22"
         "3635,\"harness.cases_simulated\":9,\"harness.sweep_cache_hits"
-        "\":0,\"harness.sweep_cases\":2,\"harness.sweeps\":1,\"qos.elas"
+        "\":0,\"harness.sweep_cases\":2,\"harness.sweeps\":2,\"qos.elas"
         "tic_restarts\":0,\"qos.epochs\":4,\"qos.refill_grants\":0,\"qo"
-        "s.tb_swaps\":288},\"samples\":{}}}\n";
+        "s.tb_swaps\":288}}}\n";
     EXPECT_EQ(comparableReport(os.str()), golden);
 }
 

@@ -258,16 +258,10 @@ TEST(Metrics, CountersSamplesAndJson)
     EXPECT_EQ(c.value(), 5u);
     // counter() is create-or-get with stable references.
     EXPECT_EQ(&reg.counter("test.hits"), &c);
-    reg.observe("test.wall", 1.0);
-    reg.observe("test.wall", 3.0);
 
     std::ostringstream os;
     reg.writeJson(os);
-    const std::string json = os.str();
-    EXPECT_TRUE(looksLikeJsonObject(json));
-    EXPECT_NE(json.find("\"test.hits\":5"), std::string::npos);
-    EXPECT_NE(json.find("\"test.wall\":{\"count\":2,\"mean\":2"),
-              std::string::npos);
+    EXPECT_EQ(os.str(), "{\"counters\":{\"test.hits\":5}}");
 }
 
 TEST(RunReport, WritesSortedCasesSweepsAndMetrics)

@@ -98,8 +98,7 @@ runAttribution(EngineKind kind, bool fair_quotas, Cycle horizon)
     gpu.setCycleAccounting(true);
     SimEngine engine(kind, cfg.epochLength);
     if (fair_quotas) {
-        SmkFairPolicy pol({250.0, 900.0}, SmkFairOptions{},
-                          cfg.epochLength);
+        SmkFairPolicy pol({250.0, 900.0}, cfg.epochLength);
         pol.onLaunch(gpu);
         EXPECT_FALSE(engine.runUntil(gpu, pol, horizon));
     } else {
