@@ -21,10 +21,13 @@
 # bytes at both job counts, and the cold traced run must not warn
 # that a cache hit bypassed the trace. The serving smoke also checks
 # that a malformed --loads value is rejected with an error naming
-# it. The default preset additionally runs the engine differential
-# smoke: every simulating figure bench and bench_serving
-# must print byte-identical stdout (and byte-identical --trace JSONL)
-# under --engine event and --engine reference.
+# it. The default preset additionally runs the benchmark smoke
+# (perfbench/smoke.py: every workload at tiny sizes, with its replay,
+# reference-engine cross-check and output checks) right after ctest,
+# and the engine differential smoke: every simulating figure bench
+# and bench_serving must print byte-identical stdout (and
+# byte-identical --trace JSONL) under --engine event and --engine
+# reference.
 #
 #   scripts/check.sh            # all four presets + smokes
 #   scripts/check.sh default    # just the fast one
@@ -380,6 +383,13 @@ for preset in "${presets[@]}"; do
     cmake --build --preset "$preset" -j "$(nproc)"
     echo "==> [$preset] test"
     ctest --preset "$preset"
+    # The benchmark checks its own results (layer replay, reference
+    # engine, conservation); run them at tiny sizes so a hot-path
+    # change that breaks them fails here, not only in a timed run.
+    if [ "$preset" = default ]; then
+        echo "==> [$preset] benchmark smoke"
+        python3 perfbench/smoke.py
+    fi
     sweep_smoke "$preset"
     serving_smoke "$preset"
     # The engine differential smoke simulates 11 benches twice; run

@@ -188,16 +188,11 @@ Gpu::step(bool event_aware)
         if (event_aware && now_ < smInertUntil_[s] &&
             smCacheVersion_[s] == sm.mutVersion()) {
             // Proven inert this cycle: batch-account instead of
-            // walking the SM pipeline. Sampling cycles go through
-            // skipCycles so the sampling inputs that live outside
-            // the SM (the interconnect store-throttle backlog) are
-            // evaluated at the sample cycle, exactly like the
-            // reference path; all other cycles defer to an O(1)
-            // counter the SM settles before any observation.
-            if (sample_iw)
-                sm.skipCycles(now_, 1, 1);
-            else
-                sm.deferInertCycle();
+            // walking the SM pipeline. A sample is taken now, so the
+            // sampling inputs that live outside the SM (the
+            // interconnect store-throttle backlog) are read at the
+            // sample cycle, exactly like the reference path.
+            sm.skipCycles(now_, 1, sample_iw ? 1 : 0);
             smSkipped_++;
             continue;
         }
@@ -400,20 +395,6 @@ Gpu::closeOpenSmSlices()
     }
 }
 
-SmCore &
-Gpu::sm(SmId id)
-{
-    gqos_assert(id >= 0 && id < numSms());
-    return sms_[id];
-}
-
-const SmCore &
-Gpu::sm(SmId id) const
-{
-    gqos_assert(id >= 0 && id < numSms());
-    return sms_[id];
-}
-
 const KernelRun &
 Gpu::kernelRun(KernelId k) const
 {
@@ -432,7 +413,7 @@ Gpu::threadInstrs(KernelId k) const
 {
     std::uint64_t n = 0;
     for (const auto &sm : sms_)
-        n += sm.kernelStats(k).threadInstrs;
+        n += sm.threadInstrs(k);
     return n;
 }
 

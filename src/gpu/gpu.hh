@@ -22,6 +22,7 @@
 #include "arch/gpu_config.hh"
 #include "arch/kernel_desc.hh"
 #include "arch/types.hh"
+#include "common/logging.hh"
 #include "mem/mem_system.hh"
 #include "sm/kernel_run.hh"
 #include "sm/sm_core.hh"
@@ -189,8 +190,18 @@ class Gpu
 
     // ---- component access ----
 
-    SmCore &sm(SmId id);
-    const SmCore &sm(SmId id) const;
+    SmCore &
+    sm(SmId id)
+    {
+        gqos_assert(id >= 0 && id < numSms());
+        return sms_[id];
+    }
+    const SmCore &
+    sm(SmId id) const
+    {
+        gqos_assert(id >= 0 && id < numSms());
+        return sms_[id];
+    }
     int numSms() const { return static_cast<int>(sms_.size()); }
 
     MemSystem &mem() { return *mem_; }

@@ -25,7 +25,7 @@ constexpr double slack = 1.10;
 bool
 refillDue(const SmCore &sm)
 {
-    return sm.allQuotasExhausted() && sm.totalResidentTbs() > 0;
+    return sm.residentKernels() != 0 && sm.allQuotasExhausted();
 }
 
 } // anonymous namespace

@@ -52,7 +52,10 @@ QuotaController::QuotaController(std::vector<QosSpec> specs,
     for (int k : qosIds_) {
         if (specs_[k].ipcGoal <= 0.0)
             gqos_fatal("QoS kernel %d has non-positive IPC goal", k);
+        qosMask_ |= 1u << k;
     }
+    for (int k : nonQosIds_)
+        nonQosMask_ |= 1u << k;
     std::size_t n = specs_.size();
     instrAtEpochStart_.assign(n, 0);
     instrAtSettle_.assign(n, 0);
@@ -341,11 +344,8 @@ QuotaController::beginEpoch(Gpu &gpu, bool initial)
 bool
 QuotaController::qosQuotasExhausted(const SmCore &sm) const
 {
-    for (int k : qosIds_) {
-        if (sm.residentTbs(k) > 0 && sm.quota(k) > 0.0)
-            return false;
-    }
-    return true;
+    return (sm.residentKernels() & sm.quotaPositiveKernels() &
+            qosMask_) == 0;
 }
 
 bool
@@ -381,14 +381,10 @@ QuotaController::releaseDue(const SmCore &sm, SmId s) const
 bool
 QuotaController::refillDue(const SmCore &sm, SmId s) const
 {
-    if (nonQosIds_.empty() || (opts_.timeMux && !released_[s]) ||
-        !sm.allQuotasExhausted())
+    if (opts_.timeMux && !released_[s])
         return false;
-    for (int j : nonQosIds_) {
-        if (sm.residentTbs(j) > 0)
-            return true;
-    }
-    return false;
+    return (sm.residentKernels() & nonQosMask_) != 0 &&
+           sm.allQuotasExhausted();
 }
 
 Cycle
@@ -424,7 +420,8 @@ QuotaController::onCycle(Gpu &gpu)
         new_epoch = true;
     }
 
-    for (int s = 0; s < gpu.numSms(); ++s) {
+    const int num_sms = gpu.numSms();
+    for (int s = 0; s < num_sms; ++s) {
         SmCore &sm = gpu.sm(s);
         // Rollover-Time: release stashed non-QoS quota per SM once
         // its QoS kernels exhausted theirs.
@@ -442,11 +439,11 @@ QuotaController::onCycle(Gpu &gpu)
         if (!refillDue(sm, s))
             continue;
         for (int j : nonQosIds_) {
-            if (sm.residentTbs(j) == 0)
+            if (!(sm.residentKernels() & (1u << j)))
                 continue; // no TBs here: quota would just pool
             double share = localQuota_[s][j];
             if (share <= 0.0)
-                share = nonQosGoalMin * epochLength_ / gpu.numSms();
+                share = nonQosGoalMin * epochLength_ / num_sms;
             sm.addQuota(j, share);
             if (refillGrantsCtr_)
                 refillGrantsCtr_->inc();

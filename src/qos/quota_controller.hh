@@ -165,7 +165,7 @@ class QuotaController
     void beginEpoch(Gpu &gpu, bool initial);
     double historyAt(KernelId k, Cycle now) const;
     void distributeQuota(Gpu &gpu, KernelId k, double total_quota);
-    bool qosQuotasExhausted(const SmCore &sm) const;
+    inline bool qosQuotasExhausted(const SmCore &sm) const;
     bool elasticReady(const Gpu &gpu, Cycle now) const;
     /**
      * onCycle()'s mid-epoch decisions on SM @p s, also evaluated by
@@ -183,6 +183,9 @@ class QuotaController
 
     std::vector<int> qosIds_;
     std::vector<int> nonQosIds_;
+    /** The same kernel sets as masks (bit k: kernel k). */
+    std::uint32_t qosMask_ = 0;
+    std::uint32_t nonQosMask_ = 0;
 
     Cycle epochStart_ = 0;
     int epochIndex_ = 0;

@@ -73,6 +73,10 @@ SmCore::bindKernels(const std::vector<const KernelRun *> &runs)
     runs_ = runs;
     for (auto &kc : kernels_)
         kc = KernelCtx();
+    boundKernels_ = (1u << runs_.size()) - 1;
+    residentKernels_ = 0;
+    quotaPositive_ = 0;
+    drainingKernels_ = 0;
     for (std::size_t k = 0; k < runs_.size(); ++k) {
         gqos_assert(runs_[k] != nullptr);
         gqos_assert(runs_[k]->id() == static_cast<KernelId>(k));
@@ -166,6 +170,7 @@ SmCore::dispatchTb(KernelId k, std::uint64_t tb_seq,
     tbSlotsUsed_++;
     kernels_[k].residentTbs++;
     kernels_[k].residentWarps += warps_needed;
+    residentKernels_ |= 1u << k;
     for (int s = 0; s < numScheds_; ++s)
         rebuildAgeOrder(s);
     return true;
@@ -192,6 +197,7 @@ SmCore::startPreemption(KernelId k, Cycle now)
     TbSlot &tb = tbs_[victim];
     tb.draining = true;
     kernels_[k].drainingTbs++;
+    drainingKernels_ |= 1u << k;
     for (int wslot : tb.warpSlots) {
         Warp &w = warps_[wslot];
         if (w.state != WarpState::Live)
@@ -271,6 +277,10 @@ SmCore::freeTb(int tb_slot, TbExit exit)
         kc.drainingTbs--;
     gqos_assert(kc.residentTbs >= 0 && threadsUsed_ >= 0 &&
                 kc.drainingTbs >= 0);
+    if (kc.residentTbs == 0)
+        residentKernels_ &= ~(1u << k);
+    if (kc.drainingTbs == 0)
+        drainingKernels_ &= ~(1u << k);
 
     for (int s = 0; s < numScheds_; ++s)
         rebuildAgeOrder(s);
@@ -449,8 +459,10 @@ SmCore::retireInstr(int warp_slot, Cycle ready_at, Cycle now)
     if (quotaGating_) {
         bool had_quota = kc.quota > 0.0;
         kc.quota -= w.next.lanes;
-        if (had_quota && kc.quota <= 0.0)
+        if (had_quota && kc.quota <= 0.0) {
+            quotaPositive_ &= ~(1u << w.kernel);
             gatesDirty_ = true;
+        }
     }
     w.instrIdx++;
     w.readyAt = ready_at;
@@ -560,23 +572,15 @@ SmCore::recomputeGates()
     // co-resident kernel so memory-intensive sharers cannot starve
     // the others' loads. At least one: on a small pool shared by
     // many kernels a cap of zero would block every load forever.
-    int resident_kernels = 0;
-    for (int k = 0; k < nk; ++k) {
-        if (kernels_[k].residentTbs > 0)
-            resident_kernels++;
-    }
+    int resident_kernels = std::popcount(residentKernels_);
     mshrCap_ = std::max(1, mshrMax_ - mshrReserve *
                                std::max(0, resident_kernels - 1));
-    allowedKernels_ = 0;
-    gatedKernels_ = 0;
+    allowedKernels_ = quotaGating_ ? quotaPositive_ & boundKernels_
+                                   : boundKernels_;
+    gatedKernels_ = residentKernels_ & ~allowedKernels_;
     std::uint32_t mshr_full = 0;
     for (int k = 0; k < nk; ++k) {
-        const KernelCtx &kc = kernels_[k];
-        if (!quotaGating_ || kc.quota > 0.0)
-            allowedKernels_ |= 1u << k;
-        else if (kc.residentTbs > 0)
-            gatedKernels_ |= 1u << k;
-        if (kc.mshrHeld >= mshrCap_)
+        if (kernels_[k].mshrHeld >= mshrCap_)
             mshr_full |= 1u << k;
     }
     for (SchedulerState &sc : scheds_) {
@@ -619,13 +623,13 @@ SmCore::readyFacts(std::uint32_t &ready, std::uint32_t &nonmem) const
     int nk = static_cast<int>(runs_.size());
     for (int s = 0; s < numScheds_; ++s) {
         const SchedulerState &sc = scheds_[s];
-        std::uint64_t mem_mask = sc.loadMask | sc.storeMask;
+        std::uint64_t r = sc.ready;
+        std::uint64_t nm = r & ~(sc.loadMask | sc.storeMask);
         for (int k = 0; k < nk; ++k) {
-            std::uint64_t r = sc.ready & sc.kernelMask[k];
-            if (r)
-                ready |= 1u << k;
-            if (r & ~mem_mask)
-                nonmem |= 1u << k;
+            ready |= static_cast<std::uint32_t>(
+                         (r & sc.kernelMask[k]) != 0) << k;
+            nonmem |= static_cast<std::uint32_t>(
+                          (nm & sc.kernelMask[k]) != 0) << k;
         }
     }
 }
@@ -635,16 +639,33 @@ SmCore::attribute(std::uint32_t issued, std::uint32_t allowed,
                   std::uint32_t ready, std::uint32_t nonmem,
                   Cycle span)
 {
-    // Exactly one category per bound kernel per cycle keeps the
-    // conservation invariant (sum == stats_.cycles) structural.
-    int nk = static_cast<int>(runs_.size());
-    for (int k = 0; k < nk; ++k) {
-        CycleCat cat = (issued & (1u << k))
-            ? CycleCat::Issued
-            : classifyStalled(k, allowed, (ready >> k) & 1,
-                              (nonmem >> k) & 1);
-        kernels_[k].breakdown.add(cat, span);
-    }
+    // The categories in priority order (cycle_accounting.hh), each
+    // taking its kernels out of the rest: exactly one category per
+    // bound kernel per cycle keeps the conservation invariant
+    // (sum == stats_.cycles) structural.
+    std::uint32_t rest = boundKernels_ & ~issued;
+    std::uint32_t drain = rest & drainingKernels_;
+    rest &= ~drain;
+    // The quota mask admits every kernel when gating is off.
+    std::uint32_t gated = rest & residentKernels_ & ~allowed;
+    rest &= ~gated;
+    // Ready warps but no issue: when every ready warp is a global
+    // load/store, the kernel is blocked on MSHR credits, the icnt
+    // store throttle, or LSU arbitration -- a memory stall. A ready
+    // ALU/SFU/shared warp instead lost plain issue arbitration.
+    std::uint32_t mem = rest & ready & ~nonmem;
+    rest &= ~mem;
+    std::uint32_t no_ready = rest & (ready | residentKernels_);
+    auto add = [&](CycleCat cat, std::uint32_t kernels) {
+        for (; kernels; kernels &= kernels - 1)
+            kernels_[std::countr_zero(kernels)].breakdown.add(cat, span);
+    };
+    add(CycleCat::Issued, issued);
+    add(CycleCat::DrainPreempt, drain);
+    add(CycleCat::QuotaGated, gated);
+    add(CycleCat::MemStall, mem);
+    add(CycleCat::NoReadyWarp, no_ready);
+    add(CycleCat::InertSkipped, rest & ~no_ready);
 }
 
 void
@@ -874,30 +895,6 @@ SmCore::nextEventAt(Cycle now) const
     return eventBound(now, load_waiting, store_waiting);
 }
 
-CycleCat
-SmCore::classifyStalled(int k, std::uint32_t allowed, bool any_ready,
-                        bool any_nonmem_ready) const
-{
-    const KernelCtx &kc = kernels_[k];
-    if (kc.drainingTbs > 0)
-        return CycleCat::DrainPreempt;
-    if (quotaGating_ && kc.residentTbs > 0 &&
-        !(allowed & (1u << k)))
-        return CycleCat::QuotaGated;
-    if (any_ready) {
-        // Ready warps but no issue: when every ready warp is a
-        // global load/store, the kernel is blocked on MSHR credits,
-        // the icnt store throttle, or LSU arbitration — a memory
-        // stall. A ready ALU/SFU/shared warp instead lost plain
-        // issue arbitration this cycle.
-        return any_nonmem_ready ? CycleCat::NoReadyWarp
-                                : CycleCat::MemStall;
-    }
-    if (kc.residentTbs > 0)
-        return CycleCat::NoReadyWarp;
-    return CycleCat::InertSkipped;
-}
-
 void
 SmCore::applyInertSpan(Cycle span)
 {
@@ -921,24 +918,6 @@ SmCore::applyInertSpan(Cycle span)
     }
 }
 
-void
-SmCore::skipCycles(Cycle now, Cycle span, Cycle samples)
-{
-    gqos_assert(span >= 1);
-    // Any owed deferred cycles saw the same frozen state as this
-    // span, so one settlement accounts both.
-    deferredInert_ += span;
-    settle();
-    // Every sampling input (ready/load/store masks, quota gating,
-    // MSHR credits, store throttle) is frozen across an inert span
-    // -- nextEventAt() stops a skip at the first cycle where any of
-    // them could change -- so each sample in the span contributes
-    // the same value. The LSU is never full on a no-issue cycle.
-    if (samples > 0)
-        sampleIdleWarps(allowedKernels(), false,
-                        storeThrottled(now), samples);
-}
-
 // ---------------------------------------------------------------
 // Quota interface
 // ---------------------------------------------------------------
@@ -957,8 +936,8 @@ SmCore::setCycleAccounting(bool on)
 {
     // Enabling mid-run would break conservation: cycles before the
     // switch were never attributed.
-    gqos_assert(!on || stats_.cycles == 0);
     settle();
+    gqos_assert(!on || stats_.cycles == 0);
     accounting_ = on;
     mutVersion_++;
 }
@@ -969,6 +948,8 @@ SmCore::setQuota(KernelId k, double q)
     gqos_assert(k >= 0 && k < maxKernels);
     settle();
     kernels_[k].quota = q;
+    quotaPositive_ = q > 0.0 ? quotaPositive_ | 1u << k
+                             : quotaPositive_ & ~(1u << k);
     gatesDirty_ = true;
     mutVersion_++;
 }
@@ -976,12 +957,8 @@ SmCore::setQuota(KernelId k, double q)
 void
 SmCore::addQuota(KernelId k, double q)
 {
-    gqos_assert(k >= 0 && k < maxKernels);
-    settle();
-    kernels_[k].quota += q;
+    setQuota(k, quota(k) + q);
     kernels_[k].stats.quotaRefills++;
-    gatesDirty_ = true;
-    mutVersion_++;
 }
 
 double
@@ -989,16 +966,6 @@ SmCore::quota(KernelId k) const
 {
     gqos_assert(k >= 0 && k < maxKernels);
     return kernels_[k].quota;
-}
-
-bool
-SmCore::allQuotasExhausted() const
-{
-    for (std::size_t k = 0; k < runs_.size(); ++k) {
-        if (kernels_[k].residentTbs > 0 && kernels_[k].quota > 0.0)
-            return false;
-    }
-    return true;
 }
 
 // ---------------------------------------------------------------
@@ -1131,14 +1098,28 @@ SmCore::checkIssueState() const
             return at("class masks disagree with the decode", slot);
     }
 
+    // Kernel masks: exact at all times.
+    std::uint32_t resident = 0;
+    std::uint32_t positive = 0;
+    std::uint32_t draining = 0;
+    for (int k = 0; k < maxKernels; ++k) {
+        const KernelCtx &kc = kernels_[k];
+        resident |= static_cast<std::uint32_t>(kc.residentTbs > 0) << k;
+        positive |= static_cast<std::uint32_t>(kc.quota > 0.0) << k;
+        draining |= static_cast<std::uint32_t>(kc.drainingTbs > 0) << k;
+    }
+    if (resident != residentKernels_)
+        return "resident-kernel mask disagrees with the TB counts";
+    if (positive != quotaPositive_)
+        return "quota-positive mask disagrees with the quota counters";
+    if (draining != drainingKernels_)
+        return "draining-kernel mask disagrees with the drain counts";
+
     // Cached gate masks, unless an event marked them for refresh.
     if (!gatesDirty_) {
         int nk = static_cast<int>(runs_.size());
-        int resident = 0;
-        for (int k = 0; k < nk; ++k)
-            resident += kernels_[k].residentTbs > 0;
         int cap = std::max(1, mshrMax_ - mshrReserve *
-                                  std::max(0, resident - 1));
+                                  std::max(0, std::popcount(resident) - 1));
         std::uint32_t allowed = 0;
         std::uint32_t gated = 0;
         for (int k = 0; k < nk; ++k) {

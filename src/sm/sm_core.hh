@@ -22,6 +22,7 @@
 
 #include "arch/gpu_config.hh"
 #include "arch/types.hh"
+#include "common/logging.hh"
 #include "mem/mem_system.hh"
 #include "sm/kernel_run.hh"
 #include "sm/scheduler.hh"
@@ -154,20 +155,27 @@ class SmCore
      * nextEventAt() proved inert, including @p samples idle-warp
      * sampling points falling inside the span. Must only be called
      * when nextEventAt(now) >= now + span.
+     *
+     * The samples are taken at once: every sampling input (ready
+     * and class masks, the quota mask, MSHR credits, and the store
+     * throttle at @p now) is frozen across the span, none of them is
+     * owed accounting, and the LSU is never full on a no-issue
+     * cycle. The span itself only joins the owed count: its cycles,
+     * gated cycles and attribution are settled lazily, once per
+     * inert stretch. Every reader of an owed counter and every
+     * external mutator settles first, so no observer sees a stale
+     * view, and the state a settlement classifies is the one every
+     * owed cycle saw.
      */
-    void skipCycles(Cycle now, Cycle span, Cycle samples);
-
-    /**
-     * O(1) deferred variant of skipCycles(now, 1, 0): note one
-     * proven-inert, non-sampling cycle without touching any
-     * counters yet. The owed accounting is settled lazily -- every
-     * statistics reader and every external mutator settles first,
-     * so no observer ever sees a stale view, and the quota-gating
-     * mask and every attribution input are provably unchanged
-     * between deferral and settlement (any change to them goes
-     * through a settling mutator).
-     */
-    void deferInertCycle() { deferredInert_++; }
+    void
+    skipCycles(Cycle now, Cycle span, Cycle samples)
+    {
+        gqos_assert(span >= 1);
+        deferredInert_ += span;
+        if (samples > 0)
+            sampleIdleWarps(allowedKernels(), false,
+                            storeThrottled(now), samples);
+    }
 
     /**
      * External-mutation version, for the event engine's per-SM
@@ -196,7 +204,16 @@ class SmCore
      * True if every kernel with resident TBs has a non-positive
      * quota counter (the mid-epoch refill condition, Section 3.4.1).
      */
-    bool allQuotasExhausted() const;
+    bool
+    allQuotasExhausted() const
+    {
+        return (residentKernels_ & quotaPositive_) == 0;
+    }
+
+    /** Kernels with resident TBs here (bit k: kernel k). */
+    std::uint32_t residentKernels() const { return residentKernels_; }
+    /** Kernels whose quota counter here is positive. */
+    std::uint32_t quotaPositiveKernels() const { return quotaPositive_; }
 
     // ---- occupancy / resources ----
 
@@ -234,6 +251,17 @@ class SmCore
     // ---- statistics ----
 
     const SmKernelStats &kernelStats(KernelId k) const;
+    /**
+     * kernelStats(k).threadInstrs without settling: owed inert
+     * cycles retire nothing, so control loops that poll progress do
+     * not force a settlement per poll.
+     */
+    std::uint64_t
+    threadInstrs(KernelId k) const
+    {
+        gqos_assert(k >= 0 && k < maxKernels);
+        return kernels_[k].stats.threadInstrs;
+    }
     const SmStats &
     stats() const
     {
@@ -260,10 +288,11 @@ class SmCore
      * from-scratch derivation (DESIGN.md section 11, "Issue state"):
      * every Live warp is either ready or has exactly one wheel bit,
      * in the bucket of its wake cycle; other warps have neither; the
-     * wheel occupancy bitmap and far-lane flags are exact; the cached
-     * gate masks (unless an event has marked them for refresh) and
-     * the age ranks match the warps. For tests; the simulator never
-     * calls it.
+     * wheel occupancy bitmap and far-lane flags are exact; the
+     * resident, quota-positive and draining kernel masks match the
+     * per-kernel counts; the cached gate masks (unless an event has
+     * marked them for refresh) and the age ranks match the warps.
+     * For tests; the simulator never calls it.
      * @return empty if consistent, else the first violation found
      */
     std::string checkIssueState() const;
@@ -344,25 +373,21 @@ class SmCore
     /** Kernels with a ready warp / a ready non-memory warp. */
     inline void readyFacts(std::uint32_t &ready,
                            std::uint32_t &nonmem) const;
-    /** Attribute @p span cycles to each kernel: Issued or stalled. */
+    /**
+     * Attribute @p span cycles to every bound kernel, from the facts
+     * the issue arbiter derived: the kernels that @p issued, the EWS
+     * quota mask @p allowed, and the kernels with a @p ready / ready
+     * non-memory (@p nonmem) warp before arbitration. A pure function
+     * of frozen state on inert cycles.
+     */
     inline void attribute(std::uint32_t issued, std::uint32_t allowed,
                           std::uint32_t ready, std::uint32_t nonmem,
                           Cycle span);
-    /**
-     * Attribution category of kernel @p k on a cycle where it did
-     * not issue, from the facts the issue arbiter derived:
-     * @p allowed is the EWS quota mask, @p any_ready / @p
-     * any_nonmem_ready describe the kernel's ready warps before
-     * arbitration. Pure function of frozen state on inert cycles.
-     */
-    CycleCat classifyStalled(int k, std::uint32_t allowed,
-                             bool any_ready,
-                             bool any_nonmem_ready) const;
     inline void addGatedCycles(Cycle span);
     void sampleIdleWarps(std::uint32_t allowed, bool lsu_full,
                          bool store_blocked, Cycle samples);
 
-    /** Apply the counter side of an inert span (no samples). */
+    /** Apply the owed accounting of an inert span (no samples). */
     void applyInertSpan(Cycle span);
     /**
      * Settle any deferred inert cycles. Logically const: it only
@@ -476,11 +501,24 @@ class SmCore
      */
     bool gatesDirty_ = true;
 
+    // Kernel masks (bit k: kernel k), exact at all times
+    /** Bound kernels: one bit per co-run kernel. */
+    std::uint32_t boundKernels_ = 0;
+    /** Kernels with resident TBs: set at dispatch, cleared at the last free. */
+    std::uint32_t residentKernels_ = 0;
+    /**
+     * Kernels whose quota counter is positive: setQuota, addQuota,
+     * and a retire that takes the counter to zero or below.
+     */
+    std::uint32_t quotaPositive_ = 0;
+    /** Kernels with a TB draining: set at preemption, cleared at free. */
+    std::uint32_t drainingKernels_ = 0;
+
     bool quotaGating_ = false;
     bool accounting_ = false; //!< cycle-attribution profiler on
     Cycle epochCycles_ = 0; //!< cycles since last sample reset
     std::uint64_t mutVersion_ = 0; //!< see mutVersion()
-    Cycle deferredInert_ = 0; //!< see deferInertCycle()
+    Cycle deferredInert_ = 0; //!< owed inert cycles, see skipCycles()
 
     SmStats stats_;
     TbEventFn tbEvent_;

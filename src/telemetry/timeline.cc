@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <string_view>
 
 #include "common/json.hh"
 
@@ -60,10 +61,13 @@ TimelineSink::~TimelineSink()
 }
 
 void
-TimelineSink::push(const std::string &case_key, std::string fragment)
+TimelineSink::push(const std::string &case_key,
+                   const std::string &fragment)
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    events_.push_back({case_key, std::move(fragment)});
+    CaseEvents &c = cases_[case_key];
+    c.text += fragment;
+    c.ends.push_back(c.text.size());
 }
 
 void
@@ -72,6 +76,7 @@ TimelineSink::nameThread(const std::string &case_key, int tid,
 {
     std::lock_guard<std::mutex> guard(mutex_);
     threads_[case_key][tid] = name;
+    cases_[case_key]; // a case with only thread names still shows
 }
 
 void
@@ -187,27 +192,22 @@ TimelineSink::flush()
     std::FILE *f = std::fopen(path_.c_str(), "w");
     if (!f)
         return; // keep the previous flush's document
-    // Group events by case, keys sorted, arrival order preserved
+    // Events grouped by case, keys sorted, arrival order preserved
     // within a case (each case is simulated single-threaded, so
     // arrival order is deterministic regardless of --jobs).
-    std::map<std::string, std::vector<const Ev *>> byCase;
-    for (const Ev &e : events_)
-        byCase[e.caseKey].push_back(&e);
-    for (const auto &kv : threads_)
-        byCase[kv.first]; // cases with only thread names still show
-
     std::fputs("{\"schema_version\":", f);
     std::fprintf(f, "%d", traceSchemaVersion);
     std::fputs(",\"displayTimeUnit\":\"ms\",\"traceEvents\":[", f);
     bool first = true;
     int pid = 0;
-    auto emit = [&](const std::string &body) {
+    auto emit = [&](std::string_view body) {
         if (!first)
             std::fputc(',', f);
         first = false;
-        std::fprintf(f, "\n{\"pid\":%d,%s}", pid, body.c_str());
+        std::fprintf(f, "\n{\"pid\":%d,%.*s}", pid,
+                     static_cast<int>(body.size()), body.data());
     };
-    for (const auto &kv : byCase) {
+    for (const auto &kv : cases_) {
         pid++;
         const std::string label =
             kv.first.empty() ? "run" : jsonEscape(kv.first);
@@ -224,8 +224,12 @@ TimelineSink::flush()
                 emit(os.str());
             }
         }
-        for (const Ev *e : kv.second)
-            emit(e->fragment);
+        const CaseEvents &c = kv.second;
+        std::size_t start = 0;
+        for (std::size_t end : c.ends) {
+            emit(std::string_view(c.text).substr(start, end - start));
+            start = end;
+        }
     }
     std::fputs("\n]}\n", f);
     std::fclose(f);

@@ -70,23 +70,30 @@ class TimelineSink : public TraceSink
      * without the "pid" field (added at flush once the case's pid
      * is known); it must start with a key (no leading comma).
      */
-    void push(const std::string &case_key, std::string fragment);
+    void push(const std::string &case_key, const std::string &fragment);
 
     /** Remember a thread name for (case, tid) metadata emission. */
     void nameThread(const std::string &case_key, int tid,
                     const std::string &name);
 
-    struct Ev
+    /**
+     * One case's queued events in arrival order: the fragments back
+     * to back in one buffer, and where each ends. One allocation per
+     * case instead of one (plus a copy of the case key) per event
+     * keeps a long serving run's timeline at about its JSON size.
+     */
+    struct CaseEvents
     {
-        std::string caseKey;
-        std::string fragment;
+        std::string text;
+        std::vector<std::size_t> ends;
     };
 
     std::mutex mutex_;
     std::string path_;
-    std::vector<Ev> events_;
-    /** case key -> (tid -> thread name); std::map keeps emission
-     *  order sorted and therefore deterministic. */
+    /** case key -> events; std::map keeps the cases, and so the
+     *  pids assigned at flush, in sorted key order. */
+    std::map<std::string, CaseEvents> cases_;
+    /** case key -> (tid -> thread name), sorted likewise. */
     std::map<std::string, std::map<int, std::string>> threads_;
 };
 

@@ -494,6 +494,117 @@ TEST(EngineDifferentialSmkFair, BitIdenticalWithoutHarness)
 }
 
 // ---------------------------------------------------------------
+// Owed inert spans across an idle-warp sample reset.
+// ---------------------------------------------------------------
+
+/** Every per-SM statistic the static allocator and reports read. */
+std::vector<double>
+smObservations(const Gpu &gpu)
+{
+    std::vector<double> v;
+    for (int s = 0; s < gpu.numSms(); ++s) {
+        const SmCore &sm = gpu.sm(s);
+        for (KernelId k = 0; k < gpu.numKernels(); ++k) {
+            const SmKernelStats &ks = sm.kernelStats(k);
+            v.insert(v.end(),
+                     {sm.iwAverage(k), sm.gatedFraction(k),
+                      static_cast<double>(ks.threadInstrs),
+                      static_cast<double>(ks.warpInstrs),
+                      static_cast<double>(ks.iwSampleSum),
+                      static_cast<double>(ks.iwSamples),
+                      static_cast<double>(ks.gatedCycles),
+                      static_cast<double>(ks.quotaRefills)});
+        }
+    }
+    return v;
+}
+
+TEST(EngineSkipAccounting, OwedSpansSettleBeforeASampleReset)
+{
+    // Skipped spans only add to an SM's owed count; their samples are
+    // taken at once. Reset points (the idle-warp sample reset of an
+    // epoch boundary, placed off the policy's own boundaries, which
+    // read statistics first) are reached by a skip with every SM
+    // still owing cycles; every second one is observed first, so the
+    // blind resets before it are checked too. Both engines must agree
+    // on every observation and on every cycle breakdown.
+    GpuConfig cfg = defaultConfig();
+    cfg.numSms = 4;
+    KernelDesc dm = test::tinyMemoryKernel();
+    KernelDesc dc = test::tinyComputeKernel();
+    const Cycle reset_every = cfg.epochLength / 2 + 7;
+    const Cycle sample_every = cfg.epochLength / cfg.iwSamplesPerEpoch;
+    constexpr Cycle horizon = 120000;
+
+    struct Observed
+    {
+        std::vector<std::vector<double>> atResets;
+        std::vector<double> atEnd;
+        std::vector<CycleBreakdown> breakdowns;
+        int blindResetsOwed = 0; //!< blind resets reached by a skip
+        int sampledSkips = 0;    //!< skips holding a sample cycle
+    };
+    auto run_kind = [&](EngineKind kind) {
+        Observed o;
+        Gpu gpu(cfg);
+        gpu.launch({&dm, &dc});
+        gpu.setCycleAccounting(true);
+        auto pol = makePolicy("rollover",
+                              {QosSpec::qos(20.0), QosSpec::nonQos()},
+                              cfg).value();
+        pol->onLaunch(gpu);
+        bool skipped = false;
+        int resets = 0;
+        while (gpu.now() < horizon) {
+            Cycle now = gpu.now();
+            if (now > 0 && now % reset_every == 0) {
+                if (resets++ % 2 == 1)
+                    o.atResets.push_back(smObservations(gpu));
+                else
+                    o.blindResetsOwed += skipped;
+                for (int s = 0; s < gpu.numSms(); ++s)
+                    gpu.sm(s).resetIwSamples();
+            }
+            if (kind == EngineKind::Event) {
+                Cycle target = std::min(
+                    {horizon, (now / reset_every + 1) * reset_every,
+                     gpu.nextEventAt(), pol->nextControlAt(gpu, now)});
+                if (target > now) {
+                    Cycle first_sample = divCeil(now, sample_every) *
+                                         sample_every;
+                    o.sampledSkips += first_sample < target;
+                    gpu.skipTo(target);
+                    skipped = true;
+                    continue;
+                }
+            }
+            pol->onCycle(gpu);
+            gpu.step(kind == EngineKind::Event);
+            skipped = false;
+        }
+        o.atEnd = smObservations(gpu);
+        for (int s = 0; s < gpu.numSms(); ++s) {
+            for (KernelId k = 0; k < gpu.numKernels(); ++k) {
+                const CycleBreakdown &b = gpu.sm(s).cycleBreakdown(k);
+                EXPECT_EQ(b.total(), gpu.sm(s).stats().cycles)
+                    << "SM " << s << ", kernel " << k;
+                o.breakdowns.push_back(b);
+            }
+        }
+        return o;
+    };
+    Observed ev = run_kind(EngineKind::Event);
+    Observed ref = run_kind(EngineKind::Reference);
+    EXPECT_GT(ev.blindResetsOwed, 0);
+    EXPECT_GT(ev.sampledSkips, 0);
+    ASSERT_EQ(ev.atResets.size(), ref.atResets.size());
+    for (std::size_t i = 0; i < ev.atResets.size(); ++i)
+        EXPECT_EQ(ev.atResets[i], ref.atResets[i]) << "reset " << i;
+    EXPECT_EQ(ev.atEnd, ref.atEnd);
+    EXPECT_EQ(ev.breakdowns, ref.breakdowns);
+}
+
+// ---------------------------------------------------------------
 // Differential on non-Table-1 machines: full-width scheduler lanes
 // (64 warps per scheduler) and wakes beyond one wake-wheel revolution.
 // ---------------------------------------------------------------
